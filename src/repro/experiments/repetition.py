@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.experiments.runner import run_scatter_experiment
 from repro.experiments.store import summarize_result
@@ -43,7 +42,10 @@ class ReplicatedMetric:
         n = len(self.values)
         if n < 2 or self.std == 0.0:
             return 0.0
-        t_crit = float(scipy_stats.t.ppf(0.975, df=n - 1))
+        # Imported here: scipy.stats costs ~1 s of import time and only
+        # this property needs it.
+        from scipy import stats
+        t_crit = float(stats.t.ppf(0.975, df=n - 1))
         return t_crit * self.std / np.sqrt(n)
 
     @property

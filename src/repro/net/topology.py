@@ -1,7 +1,7 @@
 """Node/link graph with routing and datagram delivery.
 
 The :class:`Network` owns all nodes, the directed links between them and
-the bound datagram sockets.  Delivery walks the (precomputed) shortest
+the bound datagram sockets.  Delivery walks the (cached) shortest
 path hop by hop: each hop applies that link's loss, queueing and delay,
 so a multi-hop path (client → E1 → E2) composes impairments exactly as
 the physical testbed would.
@@ -9,9 +9,11 @@ the physical testbed would.
 
 from __future__ import annotations
 
+import heapq
+import math
+from itertools import count
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.net.addresses import Address
@@ -31,7 +33,8 @@ class Network:
                  rng: Optional[np.random.Generator] = None):
         self.sim = sim
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._graph = nx.DiGraph()
+        # node -> {neighbour: one-way latency}, both in insertion order.
+        self._adj: Dict[str, Dict[str, float]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._sockets: Dict[Address, Callable] = {}
         self._routes: Dict[Tuple[str, str], List[str]] = {}
@@ -42,13 +45,13 @@ class Network:
     # Topology construction
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._adj.setdefault(name, {})
 
     def has_node(self, name: str) -> bool:
-        return self._graph.has_node(name)
+        return name in self._adj
 
     def nodes(self) -> List[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     def add_link(self, src: str, dst: str, *, rtt_s: float,
                  bandwidth_bps: float = 1e9, jitter_s: float = 0.0,
@@ -60,15 +63,14 @@ class Network:
         created with identical parameters.
         """
         for name in (src, dst):
-            if not self._graph.has_node(name):
-                self._graph.add_node(name)
+            self.add_node(name)
         directions = [(src, dst), (dst, src)] if symmetric else [(src, dst)]
         for a, b in directions:
             link = Link(self.sim, a, b, latency_s=rtt_s / 2.0,
                         bandwidth_bps=bandwidth_bps, jitter_s=jitter_s,
                         loss=loss, rng=self.rng, netem=netem)
             self._links[(a, b)] = link
-            self._graph.add_edge(a, b, weight=rtt_s / 2.0)
+            self._adj[a][b] = rtt_s / 2.0
         self._routes.clear()
 
     def link(self, src: str, dst: str) -> Link:
@@ -126,12 +128,41 @@ class Network:
         key = (src, dst)
         path = self._routes.get(key)
         if path is None:
-            try:
-                path = nx.shortest_path(self._graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise NetworkError(f"no route {src} -> {dst}") from exc
-            self._routes[key] = path
+            path = self._routes[key] = self._dijkstra(src, dst)
         return path
+
+    def _dijkstra(self, src: str, dst: str) -> List[str]:
+        """Least-latency path by Dijkstra's algorithm.
+
+        Among equal-cost paths the first-added link wins: a node's
+        predecessor changes only on a strictly shorter distance,
+        neighbours are relaxed in insertion order, and equal distances
+        leave the heap first-in first-out.  Link latencies are never
+        negative, so a settled node is never pushed again.
+        """
+        if src not in self._adj or dst not in self._adj:
+            raise NetworkError(f"no route {src} -> {dst}")
+        tie = count()
+        fringe = [(0.0, next(tie), src)]
+        best = {src: 0.0}
+        pred: Dict[str, str] = {}
+        while fringe:
+            dist, __, node = heapq.heappop(fringe)
+            if dist > best[node]:
+                continue  # superseded by a shorter push
+            if node == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(pred[path[-1]])
+                path.reverse()
+                return path
+            for nbr, weight in self._adj[node].items():
+                cand = dist + weight
+                if cand < best.get(nbr, math.inf):
+                    best[nbr] = cand
+                    pred[nbr] = node
+                    heapq.heappush(fringe, (cand, next(tie), nbr))
+        raise NetworkError(f"no route {src} -> {dst}")
 
     def path_rtt(self, src: str, dst: str) -> float:
         """Sum of link RTTs along the route (no queueing/jitter)."""
@@ -145,7 +176,7 @@ class Network:
     # ------------------------------------------------------------------
     def bind(self, address: Address, handler: Callable) -> None:
         """Register a delivery callback for ``address``."""
-        if not self._graph.has_node(address.node):
+        if address.node not in self._adj:
             raise NetworkError(f"unknown node {address.node!r}")
         if address in self._sockets:
             raise NetworkError(f"address {address} already bound")

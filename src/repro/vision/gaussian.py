@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 #: Kernels are pure functions of sigma and every pyramid reuses the
 #: same few sigmas; memoizing avoids re-deriving them per blur.
@@ -44,6 +43,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """
     if image.ndim != 2:
         raise ValueError(f"expected a grayscale image, got {image.shape}")
+    # Imported here so that importing repro.vision stays free of scipy.
+    from scipy import ndimage
     kernel = gaussian_kernel_1d(sigma)
     blurred = ndimage.convolve1d(image, kernel, axis=1, mode="nearest")
     return ndimage.convolve1d(blurred, kernel, axis=0, mode="nearest")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     Address,
@@ -40,6 +42,70 @@ def test_no_route_raises():
     net.add_node("mainland")
     with pytest.raises(NetworkError):
         net.route("island", "mainland")
+
+
+def test_unknown_node_raises():
+    __, net = make_network()
+    with pytest.raises(NetworkError):
+        net.route("client", "ghost")
+    with pytest.raises(NetworkError):
+        net.route("ghost", "client")
+
+
+@pytest.mark.parametrize("first", ["left", "right"])
+def test_equal_cost_diamond_prefers_first_added_link(first):
+    second = "right" if first == "left" else "left"
+    net = Network(Simulator())
+    net.add_link("src", first, rtt_s=0.002)
+    net.add_link("src", second, rtt_s=0.002)
+    net.add_link(first, "dst", rtt_s=0.002)
+    net.add_link(second, "dst", rtt_s=0.002)
+    assert net.route("src", "dst") == ["src", first, "dst"]
+    assert net.route("dst", "src") == ["dst", first, "src"]
+
+
+def _simple_path_costs(links, src, dst):
+    """Cost of every simple src -> dst path, by exhaustive search."""
+    costs = []
+
+    def walk(node, visited, cost):
+        if node == dst:
+            costs.append(cost)
+            return
+        for (a, b), weight in links.items():
+            if a == node and b not in visited:
+                walk(b, visited | {b}, cost + weight)
+
+    walk(src, {src}, 0)
+    return costs
+
+
+# Directed links over at most six nodes; integer one-way latencies
+# from a narrow range so that equal-cost paths are common and sums are
+# exact.
+_digraphs = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+        lambda pair: pair[0] != pair[1]),
+    st.integers(0, 3), max_size=14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(links=_digraphs, src=st.integers(0, 5), dst=st.integers(0, 5))
+def test_route_cost_is_minimal_over_all_simple_paths(links, src, dst):
+    net = Network(Simulator())
+    for node in range(6):
+        net.add_node(str(node))
+    for (a, b), weight in links.items():
+        net.add_link(str(a), str(b), rtt_s=2.0 * weight, symmetric=False)
+    costs = _simple_path_costs(links, src, dst)
+    if not costs:
+        with pytest.raises(NetworkError):
+            net.route(str(src), str(dst))
+        return
+    path = [int(node) for node in net.route(str(src), str(dst))]
+    assert path[0] == src and path[-1] == dst
+    assert len(set(path)) == len(path)
+    assert sum(links[hop] for hop in zip(path, path[1:])) == min(costs)
 
 
 def test_path_rtt_composes():

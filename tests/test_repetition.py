@@ -16,7 +16,12 @@ def test_replicated_metric_statistics():
     metric = ReplicatedMetric("fps", (10.0, 12.0, 14.0))
     assert metric.mean == pytest.approx(12.0)
     assert metric.std == pytest.approx(2.0)
-    assert metric.ci95_halfwidth > 0
+    # t(0.975, df=2) * s / sqrt(n); with two degrees of freedom the
+    # quantile has the closed form (2p - 1) / sqrt(2p(1 - p)).
+    t_crit = 0.95 / (2 * 0.975 * 0.025) ** 0.5
+    assert t_crit == pytest.approx(4.302652729749464, rel=1e-14)
+    assert metric.ci95_halfwidth == pytest.approx(
+        t_crit * 2.0 / 3 ** 0.5, rel=1e-12)
     low, high = metric.interval
     assert low < 12.0 < high
 
