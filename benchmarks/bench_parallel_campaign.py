@@ -7,7 +7,8 @@ the committed repo-root ``BENCH_parallel_campaign.json``:
 
 * **serial** — ``workers=0``, in-process (the baseline);
 * **warm-pool cold** — ``workers=N`` on the persistent warm pool with
-  batched submission, cell cache *off* (every task computes);
+  longest-first per-task submission, cell cache *off* (every task
+  computes);
 * **cached rerun** — ``workers=N`` against a fully-primed cell cache
   (every task replays from disk).
 
@@ -19,7 +20,7 @@ Bars (asserted on every box — there is no silent pass):
 
 * warm-pool cold ≥ 1.0× serial.  Process parallelism cannot beat
   serial on a single CPU, but the old one-future-per-task runner
-  *lost* to it (0.83×); the warm pool + batched transport must at
+  *lost* to it (0.83×); the warm pool + compact transport must at
   least break even everywhere, and on ≥4 spare cores must win
   outright (≥1.3×).  When ``workers > cpu_count`` the bench prints a
   loud oversubscription notice and still enforces the break-even bar.
@@ -193,7 +194,7 @@ def test_parallel_campaign_contract_and_speedup(save_result,
 
         # No-poisoning: the failed campaign cached nothing.
         assert poison_entries == 0, entry
-        # Warm pool + batched transport: break even everywhere...
+        # Warm pool + compact transport: break even everywhere...
         assert warm_speedup >= 1.0, entry
         # ...win outright with real spare cores...
         if cpus >= 4 and workers >= 4:

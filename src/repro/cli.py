@@ -375,6 +375,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         render_report,
         run_campaign,
     )
+    from repro.experiments.parallel import effective_workers
 
     if args.cache and args.no_cache:
         raise SystemExit("--cache and --no-cache are contradictory")
@@ -395,8 +396,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seeds=tuple(int(s) for s in args.seeds.split(",")))
     if args.workers:
         tasks = len(campaign.cells) * len(campaign.seeds)
-        print(f"  ... sharding {tasks} (cell, seed) tasks across "
-              f"{args.workers} worker process(es)")
+        print(f"  ... running {tasks} (cell, seed) tasks on "
+              f"{effective_workers(args.workers)} worker process(es)")
     report = run_campaign(
         campaign, store_dir=args.store, workers=args.workers,
         cache_dir=cache_dir,
@@ -666,9 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--store", default=None,
                           help="directory for per-cell JSON summaries")
     campaign.add_argument("--workers", type=int, default=0,
-                          help="shard (cell, seed) tasks across N "
-                               "worker processes (0 = serial); "
-                               "results are bit-identical either way")
+                          help="run (cell, seed) tasks on N worker "
+                               "processes, capped at the CPU count "
+                               "(0 = serial); results are "
+                               "bit-identical either way")
     campaign.add_argument("--verbose", action="store_true",
                           help="print per-task progress lines")
     campaign.add_argument("--no-feature-cache", action="store_true",

@@ -19,7 +19,6 @@ from repro.experiments.parallel import (
     effective_workers,
     plan_tasks,
     run_tasks,
-    shard_tasks,
     shutdown_pool,
     warm_pool,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "run_scatter_experiment",
     "run_scatterpp_experiment",
     "run_tasks",
-    "shard_tasks",
     "shutdown_pool",
     "significantly_better",
     "summarize_result",

@@ -1,4 +1,4 @@
-"""Sharded, crash-isolated, cache-aware campaign execution.
+"""Crash-isolated, cache-aware campaign execution on a warm pool.
 
 A campaign grid (pipelines × placements × client counts × seeds) is
 embarrassingly parallel: every *(cell, seed)* task builds its own
@@ -7,27 +7,23 @@ state and can run in any order on any worker.  This module turns that
 observation into a runner:
 
 * :func:`plan_tasks` enumerates the grid in a canonical order — the
-  single source of truth both the serial and the sharded paths use;
-* :func:`shard_tasks` partitions a plan deterministically
-  (round-robin), so a given ``(plan, workers)`` pair always produces
-  the same shard assignment;
+  single source of truth both the serial and the pooled paths use;
 * :func:`run_tasks` executes a plan either in-process (``workers=0``)
   or across a **warm, persistent** ``ProcessPoolExecutor``
   (``workers>=1``) that survives across calls, so back-to-back
   campaigns in one process pay worker spawn exactly once
   (:func:`warm_pool` / :func:`shutdown_pool` manage it explicitly).
-  Tasks are submitted in *batches* — round-robin chunks of the plan
-  rather than one future per task — and each batch ships its results
-  back as one compact zlib-compressed pickle, collapsing the
-  per-task IPC round-trips that made fine-grained sharding lose to
-  serial execution on small grids.
+  Tasks are submitted one future each, **longest first** by estimated
+  cost (``clients × duration_s``), so the pool's own queue does greedy
+  list scheduling: the expensive cells start early and the cheap ones
+  fill the gaps at the end instead of leaving a worker idle.
 
-Crash isolation is unchanged: a task that raises is recorded as a
+Crash isolation: a task that raises is recorded as a
 :class:`CellFailure`, and a task that *kills its worker* (breaking
-the pool) is quarantined — every batch in flight when the pool broke
-is retried task-by-task in fresh solo pools, so only the genuinely
-lethal task is marked failed (and the persistent pool is discarded,
-to be respawned clean on the next call).
+the pool) is quarantined — every task in flight when the pool broke
+is retried in a fresh solo pool, so only the genuinely lethal task is
+marked failed (and the persistent pool is discarded, to be respawned
+clean on the next call).
 
 When a :class:`~repro.experiments.cache.CampaignCellCache` is passed,
 tasks are looked up *before* submission — hits are returned
@@ -37,9 +33,8 @@ failures can never poison the cache.
 
 The determinism contract — same seed ⇒ identical metrics and identical
 :class:`~repro.sim.kernel.TraceDigest` fingerprint regardless of
-worker count, batching, caching, scheduling order, or process
-boundary — is enforced by ``tests/test_determinism.py`` against this
-module.
+worker count, dispatch order, caching, or process boundary — is
+enforced by ``tests/test_determinism.py`` against this module.
 """
 
 from __future__ import annotations
@@ -59,17 +54,9 @@ Cell = Tuple[str, str, int]
 
 Progress = Optional[Callable[[str], None]]
 
-#: Target number of submission batches per worker.  >1 so a slow batch
-#: does not leave siblings idle near the end of a campaign; small so a
-#: 24-task grid still needs ~an order of magnitude fewer IPC
-#: round-trips than one-future-per-task (measured best at 2 on both
-#: 1-core and 4-core boxes — see benchmarks/bench_parallel_campaign).
-BATCHES_PER_WORKER = 2
-
-
 @dataclass(frozen=True)
 class CellTask:
-    """One unit of sharded work: a single seed of a single cell."""
+    """One unit of campaign work: a single seed of a single cell."""
 
     pipeline: str
     placement: str
@@ -140,19 +127,6 @@ def plan_tasks(campaign, *, seeds: Optional[Sequence[int]] = None
             for seed in seeds]
 
 
-def shard_tasks(tasks: Sequence[CellTask],
-                shards: int) -> List[List[CellTask]]:
-    """Deterministic round-robin partition of a plan.
-
-    Shard *i* receives ``tasks[i::shards]``; every task lands in
-    exactly one shard and the assignment depends only on plan order
-    and shard count — never on timing.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return [list(tasks[index::shards]) for index in range(shards)]
-
-
 def run_cell_task(task: CellTask) -> Dict:
     """Execute one task hermetically and return its summary dict.
 
@@ -183,15 +157,13 @@ def _execute(task: CellTask) -> Tuple:
 
 
 def _execute_batch(tasks: Sequence[CellTask]) -> bytes:
-    """Run a batch of tasks in one worker; ship results compactly.
+    """Run tasks in one worker; ship their results compactly.
 
-    The payload list is pickled once and zlib-compressed, so a batch
-    of N cells costs one IPC round-trip and one (small) transfer
-    instead of N — summaries are highly redundant JSON-ish dicts that
-    compress well.  Per-task crash isolation is preserved because
-    :func:`_execute` never raises; only a worker *death* (SIGKILL,
-    OOM) loses the batch, and the quarantine pass re-runs those tasks
-    individually.
+    The pool submits one task per call; the payload list is pickled
+    once and zlib-compressed — summaries are highly redundant
+    JSON-ish dicts that compress well.  :func:`_execute` never raises,
+    so only a worker *death* (SIGKILL, OOM) loses a call, and the
+    quarantine pass re-runs its tasks individually.
 
     The cyclic GC is deferred for the duration of the batch: simulator
     cells allocate furiously, and paying thousands of incremental
@@ -342,44 +314,57 @@ def _quarantine(tasks: List[Tuple[int, CellTask]],
         reporter.report(outcomes[index])
 
 
+def _dispatch_order(pending: List[Tuple[int, CellTask]]
+                    ) -> List[Tuple[int, CellTask]]:
+    """``pending`` longest-first by estimated cost, plan index on ties.
+
+    A cell's host time grows with its simulated client-seconds, so
+    ``clients × duration_s`` ranks tasks well enough for greedy list
+    scheduling (LPT).  The order depends only on the plan — never on
+    timing — and results do not depend on it at all.
+    """
+    return sorted(pending, key=lambda pair: (
+        -pair[1].clients * pair[1].duration_s, pair[0]))
+
+
 def _run_batched(pending: List[Tuple[int, CellTask]], workers: int,
                  outcomes: Dict[int, TaskOutcome],
                  reporter: _Reporter) -> None:
-    """Execute ``pending`` on the warm pool in round-robin batches."""
-    workers = effective_workers(workers)
-    n_batches = max(1, min(len(pending), workers * BATCHES_PER_WORKER))
-    batches = [pending[offset::n_batches] for offset in range(n_batches)
-               if pending[offset::n_batches]]
-    pool = warm_pool(workers)
+    """Execute ``pending`` on the warm pool, one future per task.
+
+    Tasks are submitted in :func:`_dispatch_order`, so each worker
+    that frees up takes the most expensive task still queued.  Each
+    task still goes through :func:`_execute_batch` (as a 1-tuple) for
+    its compact result payload and GC deferral.
+    """
+    pool = warm_pool(effective_workers(workers))
     casualties: List[Tuple[int, CellTask]] = []
     broken = False
     try:
         futures = {}
-        for batch in batches:
+        for index, task in _dispatch_order(pending):
             try:
-                future = pool.submit(
-                    _execute_batch, tuple(task for _, task in batch))
+                future = pool.submit(_execute_batch, (task,))
             except BrokenProcessPool:
-                # Pool died between batches: everything not yet
+                # Pool died mid-submission: everything not yet
                 # submitted goes straight to quarantine.
-                casualties.extend(batch)
+                casualties.append((index, task))
                 broken = True
                 continue
-            futures[future] = batch
+            futures[future] = (index, task)
         for future in as_completed(futures):
-            batch = futures[future]
+            index, task = futures[future]
             try:
-                payloads = _decode_batch(future.result())
+                (payload,) = _decode_batch(future.result())
             except BrokenProcessPool:
-                # Either a task in this batch killed its worker or the
-                # batch is collateral damage of another one doing so;
-                # the quarantine pass below tells the two apart.
-                casualties.extend(batch)
+                # Either this task killed its worker or it is
+                # collateral damage of another one doing so; the
+                # quarantine pass below tells the two apart.
+                casualties.append((index, task))
                 broken = True
                 continue
-            for (index, task), payload in zip(batch, payloads):
-                outcomes[index] = _outcome(task, payload)
-                reporter.report(outcomes[index])
+            outcomes[index] = _outcome(task, payload)
+            reporter.report(outcomes[index])
     finally:
         if broken:
             _discard_broken_pool()
@@ -393,7 +378,7 @@ def run_tasks(tasks: Sequence[CellTask], *, workers: int = 0,
     """Execute a plan and return one outcome per task, in plan order.
 
     ``workers=0`` runs every task in-process (serial); ``workers>=1``
-    runs batched on the shared warm pool.  Either way the returned
+    runs longest-first on the shared warm pool.  Either way the returned
     list is ordered and keyed by the plan, so downstream aggregation
     is independent of completion order.  Duplicate submissions are
     refused: the first occurrence runs, later ones are recorded as

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.cli import FIGURES, _named_config, build_parser, main
+from repro.experiments import campaign as campaign_mod
+from repro.experiments.parallel import effective_workers, shutdown_pool
 
 
 def test_parser_builds():
@@ -93,3 +98,30 @@ def test_optimize_command(capsys):
 def test_optimize_latency_objective(capsys):
     assert main(["optimize", "--objective", "latency"]) == 0
     assert "best by latency" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="fake-runner injection into pool workers requires fork")
+def test_campaign_reports_effective_worker_count(monkeypatch, capsys):
+    """Requests beyond the CPU count are capped; the banner says so."""
+    def fake_runner(placement, *, num_clients, duration_s, seed):
+        return {"fps": 30.0, "success_rate": 1.0, "e2e_ms": 40.0,
+                "jitter_ms": 1.0, "qoe_mos": 4.0,
+                "trace_digest": f"digest-{placement.name}-s{seed}"}
+
+    requested = (os.cpu_count() or 1) + 3
+    shutdown_pool()  # forked workers must inherit the fake runner
+    monkeypatch.setitem(campaign_mod.RUNNERS, "scatter", fake_runner)
+    expected = effective_workers(requested)
+    try:
+        assert main(["campaign", "--pipelines", "scatter",
+                     "--placements", "C1", "--clients", "1",
+                     "--duration", "1", "--seeds", "0,1",
+                     "--workers", str(requested)]) == 0
+    finally:
+        shutdown_pool()
+    out = capsys.readouterr().out
+    assert expected < requested
+    assert (f"running 2 (cell, seed) tasks on {expected} worker "
+            "process(es)") in out

@@ -1,4 +1,4 @@
-"""Failure paths of the sharded campaign runner.
+"""Dispatch and failure paths of the pooled campaign runner.
 
 The contract under test: a cell that raises, kills its worker, or is
 submitted twice must be recorded as a failed cell — never a dead
@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import signal
+from concurrent.futures import Future
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.experiments.parallel import (
     CellTask,
     plan_tasks,
     run_tasks,
-    shard_tasks,
     shutdown_pool,
     warm_pool,
 )
@@ -94,16 +94,27 @@ def test_plan_tasks_canonical_order():
     assert plan_tasks(campaign) == tasks  # stable
 
 
-def test_shard_tasks_partitions_deterministically():
-    tasks = plan_tasks(tiny_campaign(client_counts=(1, 2, 3)))
-    shards = shard_tasks(tasks, 4)
-    assert len(shards) == 4
-    flattened = [task for shard in shards for task in shard]
-    assert sorted(flattened, key=str) == sorted(tasks, key=str)
-    assert shards == shard_tasks(tasks, 4)  # timing-independent
-    assert shards[0] == tasks[0::4]
-    with pytest.raises(ValueError):
-        shard_tasks(tasks, 0)
+def test_dispatch_order_is_longest_first_with_plan_tiebreak():
+    tasks = plan_tasks(tiny_campaign(client_counts=(1, 3, 2)))
+    pending = list(enumerate(tasks))
+    order = parallel_mod._dispatch_order(pending)
+    # Most clients first; equal cost keeps plan order.
+    assert [str(task) for _, task in order] == [
+        f"scatter/{placement}/{clients}c/seed{seed}"
+        for clients in (3, 2, 1) for placement in ("C1", "C2")
+        for seed in (0, 1)]
+    assert sorted(index for index, _ in order) == list(range(len(tasks)))
+    # Stable: timing-, call- and input-order-independent.
+    assert parallel_mod._dispatch_order(pending) == order
+    assert parallel_mod._dispatch_order(pending[::-1]) == order
+    assert pending == list(enumerate(tasks))  # input left untouched
+    # Cost is client-seconds, not clients alone.
+    short = CellTask(pipeline="scatter", placement="C1", clients=4,
+                     seed=0, duration_s=1.0)
+    long = CellTask(pipeline="scatter", placement="C1", clients=1,
+                    seed=0, duration_s=10.0)
+    assert parallel_mod._dispatch_order([(0, short), (1, long)]) == [
+        (1, long), (0, short)]
 
 
 def test_run_tasks_rejects_negative_workers():
@@ -180,10 +191,44 @@ def test_killed_worker_marked_lost_others_survive(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batched submission on the warm pool
+# Per-task submission on the warm pool
 # ----------------------------------------------------------------------
+class RecordingExecutor:
+    """Stands in for the warm pool: records each ``submit`` and runs
+    it synchronously, returning an already-completed future."""
+
+    def __init__(self):
+        self.calls = []
+
+    def submit(self, fn, *args):
+        self.calls.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_each_task_submitted_once_in_dispatch_order(fake_pipeline,
+                                                    monkeypatch):
+    campaign = tiny_campaign(placements=("C2", "C1"),
+                             client_counts=(1, 3), seeds=(0, 1))
+    tasks = plan_tasks(campaign)
+    stub = RecordingExecutor()
+    monkeypatch.setattr(parallel_mod, "warm_pool", lambda workers: stub)
+    outcomes = run_tasks(tasks, workers=2)
+    expected = [task for _, task in
+                parallel_mod._dispatch_order(list(enumerate(tasks)))]
+    assert [fn for fn, _ in stub.calls] == \
+        [parallel_mod._execute_batch] * len(tasks)
+    assert [args for _, args in stub.calls] == \
+        [((task,),) for task in expected]
+    assert expected != tasks  # the reordering actually happened
+    assert [outcome.task for outcome in outcomes] == tasks
+    assert [outcome.summary["trace_digest"] for outcome in outcomes] == [
+        f"digest-{t.placement}-{t.clients}c-s{t.seed}" for t in tasks]
+
+
 def test_batched_submission_preserves_plan_order(fake_pipeline):
-    """Round-robin batching must not reorder outcomes: position i of
+    """Longest-first dispatch must not reorder outcomes: position i of
     the result always belongs to task i of the plan."""
     campaign = tiny_campaign(placements=("C2", "C1"),
                              client_counts=(1, 2, 3), seeds=(0, 1))
@@ -199,15 +244,16 @@ def test_batched_submission_preserves_plan_order(fake_pipeline):
 
 def test_sigkill_in_batch_quarantines_only_the_lethal_tasks(
         monkeypatch):
-    """A SIGKILL takes down its whole batch, but quarantine retries the
-    casualties one at a time: healthy batchmates still produce results
-    and only the lethal tasks end up ``worker-lost``."""
+    """A SIGKILL breaks the pool and takes down every task in flight,
+    but quarantine retries the casualties one at a time: healthy tasks
+    still produce results and only the lethal ones end up
+    ``worker-lost``."""
     monkeypatch.setitem(campaign_mod.RUNNERS, "scatter",
                         killer_runner)
     campaign = tiny_campaign(placements=("C2", "C1"),
                              client_counts=(1, 2, 3), seeds=(0,))
     tasks = plan_tasks(campaign)
-    warm_pool(2)  # 6 tasks across 4 batches: killers share batches
+    warm_pool(2)  # 6 tasks, 3 lethal: healthy ones are in flight too
     outcomes = run_tasks(tasks, workers=2)
     assert [outcome.task for outcome in outcomes] == tasks
     for outcome in outcomes:
