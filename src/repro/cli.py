@@ -218,12 +218,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             config, num_clients=args.clients,
             duration_s=args.duration, seed=args.seed,
             tracing=args.trace)
-    from repro.sim.kernel import active_backend
-
     print(format_table(["metric", "value"], [
         ["config", result.config_name],
         ["pipeline", args.pipeline],
-        ["sim kernel", active_backend()],
         ["clients", result.num_clients],
         ["mean FPS", result.mean_fps()],
         ["success rate", result.success_rate()],
@@ -619,14 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "poisson"),
                      help="macro-membership load process "
                           "(with --cohort-size)")
-    run.add_argument("--sim-kernel", default=None,
-                     choices=("optimized", "reference", "compiled"),
-                     help="event-kernel backend (same as the "
-                          "REPRO_SIM_KERNEL env var; the flag is "
-                          "applied by the python -m repro entry "
-                          "point before the stack imports, and "
-                          "compiled falls back loudly to optimized "
-                          "when the extension is absent)")
 
     testbed = sub.add_parser("testbed", help="show the testbed")
     testbed.add_argument("--clients", type=int, default=4)

@@ -1,7 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
 import functools
+import gc
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,6 +59,36 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(-0.1, lambda: None)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -1e-9])
+def test_non_finite_or_negative_times_rejected_everywhere(bad):
+    """NaN, infinity and negative delays fail at the call that made
+    them — ``schedule``, ``Timeout`` and ``schedule_at`` alike — and
+    leave the queue untouched."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        Timeout(sim, bad)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(sim.now + bad, lambda: None)
+    assert sim.run() == 1.0
+    assert sim.digest.events == 1
+
+
+def test_negative_zero_delay_accepted_as_zero():
+    sim = Simulator()
+    order = []
+    sim.schedule(-0.0, order.append, "schedule")
+    sim.timeout(-0.0, "timeout")
+    sim.schedule_at(-0.0, order.append, "schedule_at")
+    sim.run()
+    assert order == ["schedule", "schedule_at"]
+    assert sim.now == 0.0
 
 
 def test_run_until_stops_before_later_events():
@@ -733,17 +769,28 @@ def test_callback_exception_preserves_pending_zero_delay_events():
     assert order == ["after"]
 
 
-def test_run_until_in_the_past_rewinds_clock_like_reference():
+@pytest.mark.parametrize("until", [0.5, float("nan")])
+def test_run_until_in_the_past_or_nan_raises(until):
+    """The clock never runs backwards: ``run(until)`` before ``now``
+    (or NaN) is refused and changes nothing.  The reference witness
+    predates this check and silently rewinds instead."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    sim.schedule(5.0, fired.append, True)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=until)
+    assert sim.now == 1.0
+    assert sim.run() == 6.0
+    assert fired == [True]
+
+
+def test_run_until_now_is_allowed():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
-    assert sim.now == 1.0
-    sim.schedule(5.0, lambda: None)
-    ref = reference_mod.Simulator()
-    ref.schedule(1.0, lambda: None)
-    ref.run()
-    ref.schedule(5.0, lambda: None)
-    assert sim.run(until=0.5) == ref.run(until=0.5) == 0.5
+    assert sim.run(until=1.0) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -800,33 +847,26 @@ def test_profiler_works_with_digest_disabled():
     assert sim.profile.events == 1
 
 # ----------------------------------------------------------------------
-# Calendar-wheel structure: resize, storms, cancellation, merge order.
-# Every scenario is mirrored against the reference heap kernel — the
-# wheel's bucket policy is free only because the (when, seq) stream it
-# emits is byte-identical to the witness.
+# Timer-heap structure: spread, storms, cancellation, merge order.
+# Every scenario is mirrored against the reference kernel — the fast
+# kernel's lanes are free only because the (when, seq) stream they
+# emit is byte-identical to the witness.
 # ----------------------------------------------------------------------
-_WHEEL_BACKED = kernel_mod.active_backend() != "reference"
-
-
 def _logged_run(mod, build):
     """Run ``build(sim, log)`` on ``mod``'s simulator; return
-    (log, fingerprint, sim)."""
+    (log, fingerprint)."""
     sim = mod.Simulator()
     log = []
     build(sim, log)
     sim.run()
-    return log, sim.fingerprint(), sim
+    return log, sim.fingerprint()
 
 
-def test_far_future_timers_resize_the_ring_and_match_reference():
-    """Enough spread-out timers to blow the grow threshold: the ring
-    rebuilds (more buckets, re-estimated width) mid-stream and the
-    event order never deviates from the reference heap."""
+def test_far_future_timers_match_reference():
+    """Thousands of pending timers spread across five decades of
+    delay pop in exactly the reference order."""
     def build(sim, log):
         rng = random.Random(20260808)
-        # Spread across five decades so the rebuild's width
-        # re-estimation actually moves, including far-future slots
-        # that start life in the overflow heap.
         for idx in range(4000):
             delay = rng.choice((rng.uniform(0.0001, 0.01),
                                 rng.uniform(0.01, 1.0),
@@ -834,71 +874,46 @@ def test_far_future_timers_resize_the_ring_and_match_reference():
                                 rng.uniform(100.0, 5000.0)))
             sim.schedule(delay, log.append, (round(delay, 9), idx))
 
-    opt_log, opt_fp, opt_sim = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
-    assert opt_log == ref_log
-    assert opt_fp == ref_fp
-    if _WHEEL_BACKED:
-        stats = opt_sim.wheel_stats()
-        assert stats["resizes"] >= 1, \
-            "4000 pending timers never grew a 256-bucket ring"
-        assert stats["nbuckets"] > 256
+    assert _logged_run(kernel_mod, build) == \
+        _logged_run(reference_mod, build)
 
 
-def test_overflow_timers_spill_lazily_and_match_reference():
-    """Far-future timers beyond the ring horizon start life in the
-    overflow heap and re-bucket only as the head approaches — few
-    enough pending that no rebuild widens the ring under them."""
+def test_sparse_far_timers_among_dense_near_ones_match_reference():
+    """A few far-future timers behind a dense run of near ones."""
     def build(sim, log):
         for idx in range(40):
             sim.schedule(0.01 * (idx + 1), log.append, ("near", idx))
         for idx in range(8):
             sim.schedule(10.0 + 3.0 * idx, log.append, ("far", idx))
 
-    opt_log, opt_fp, opt_sim = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
-    assert opt_log == ref_log
-    assert opt_fp == ref_fp
-    if _WHEEL_BACKED:
-        stats = opt_sim.wheel_stats()
-        assert stats["resizes"] == 0
-        assert stats["spills"] >= 8, \
-            "10s+ timers never crossed the 0.5s overflow horizon"
+    assert _logged_run(kernel_mod, build) == \
+        _logged_run(reference_mod, build)
 
 
-def test_mass_same_tick_storm_batch_loop_and_reference_identical():
-    """One schedule_batch per storm, a schedule() loop, and the
-    reference heap: three byte-identical (when, seq) streams."""
-    def build_loop(mod):
+def test_mass_same_tick_storm_schedule_at_loop_and_reference_identical():
+    """Same-tick storms through ``schedule_at``, through a
+    ``schedule()`` loop, and through the reference kernel: three
+    byte-identical (when, seq) streams."""
+    def build(mod, absolute):
         sim = mod.Simulator()
         log = []
         for storm in range(40):
             when = 0.01 * (storm + 1)
             for idx in range(50):
-                sim.schedule(when, log.append, (storm, idx))
+                if absolute:
+                    sim.schedule_at(when, log.append, (storm, idx))
+                else:
+                    sim.schedule(when, log.append, (storm, idx))
         sim.run()
         return log, sim.fingerprint()
 
-    def build_batch():
-        sim = Simulator()
-        log = []
-        for storm in range(40):
-            when = 0.01 * (storm + 1)
-            sim.schedule_batch(
-                [(when, log.append, ((storm, idx),))
-                 for idx in range(50)])
-        sim.run()
-        return log, sim.fingerprint()
-
-    loop_log, loop_fp = build_loop(kernel_mod)
-    ref_log, ref_fp = build_loop(reference_mod)
-    batch_log, batch_fp = build_batch()
-    assert loop_log == ref_log == batch_log
-    assert loop_fp == ref_fp == batch_fp
+    loop = build(kernel_mod, absolute=False)
+    assert loop == build(reference_mod, absolute=False)
+    assert loop == build(kernel_mod, absolute=True)
 
 
-def test_cancelled_timers_across_buckets_match_reference():
-    """AnyOf losers spread over many buckets: cancellation tombstones
+def test_cancelled_timers_match_reference():
+    """AnyOf losers at many distinct instants: cancellation tombstones
     the waiter, but the timer event still fires and folds into the
     digest in exactly the reference order."""
     def build(sim, log):
@@ -910,20 +925,18 @@ def test_cancelled_timers_across_buckets_match_reference():
         for idx in range(200):
             sim.spawn(racer(idx), name=f"racer-{idx}")
 
-    opt_log, opt_fp, __ = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
-    assert opt_log == ref_log
-    assert opt_fp == ref_fp
+    assert _logged_run(kernel_mod, build) == \
+        _logged_run(reference_mod, build)
 
 
-def test_wheel_and_ready_lane_merge_in_global_seq_order():
-    """Zero-delay wakeups racing bucketed timers at the same instant:
-    the ready fast lane must interleave by (when, seq), not lane."""
+def test_heap_and_ready_lane_merge_in_global_seq_order():
+    """Zero-delay wakeups racing heap timers at the same instant: the
+    ready fast lane must interleave by (when, seq), not lane."""
     def build(sim, log):
         def at_instant(tag):
             # From inside a callback: a zero-delay event (ready lane)
-            # scheduled AFTER a same-instant timer (bucket/near) has a
-            # larger seq, so the timer must still fire first.
+            # scheduled AFTER a same-instant timer (heap) has a larger
+            # seq, so the timer must still fire first.
             sim.schedule(0.0, log.append, (round(sim.now, 9), tag, "zero"))
             sim.schedule(0.0, log.append, (round(sim.now, 9), tag, "zero2"))
         for tick in range(100):
@@ -931,16 +944,14 @@ def test_wheel_and_ready_lane_merge_in_global_seq_order():
             sim.schedule(when, at_instant, tick)
             sim.schedule(when, log.append, (round(when, 9), tick, "timer"))
 
-    opt_log, opt_fp, __ = _logged_run(kernel_mod, build)
-    ref_log, ref_fp, __ = _logged_run(reference_mod, build)
-    assert opt_log == ref_log
-    assert opt_fp == ref_fp
+    assert _logged_run(kernel_mod, build) == \
+        _logged_run(reference_mod, build)
 
 
-def test_until_stop_mid_bucket_resumes_identically():
-    """run(until) landing between two events of one bucket: the
-    half-consumed bucket persists across run() calls and the resumed
-    stream matches a reference run stopped at the same instants."""
+def test_repeated_until_stops_resume_identically():
+    """``run(until)`` stops between two closely spaced events; the
+    resumed stream matches a reference run stopped at the same
+    instants."""
     def build(mod):
         sim = mod.Simulator()
         log = []
@@ -961,89 +972,154 @@ def test_until_stop_mid_bucket_resumes_identically():
     assert opt_sim.fingerprint() == ref_sim.fingerprint()
 
 
-def test_schedule_batch_absolute_mode_matches_relative():
+def test_schedule_at_matches_schedule_from_time_zero():
     sim_abs = Simulator()
     sim_rel = Simulator()
     log_abs = []
     log_rel = []
-    whens = [0.25, 0.25, 0.5, 0.75, 0.75, 0.75]
-    sim_abs.schedule_batch(
-        [(when, log_abs.append, (idx,))
-         for idx, when in enumerate(whens)], absolute=True)
-    sim_rel.schedule_batch(
-        [(when, log_rel.append, (idx,))
-         for idx, when in enumerate(whens)])
+    whens = [0.25, 0.25, 0.5, 0.0, 0.75, 0.75, 0.75]
+    for idx, when in enumerate(whens):
+        sim_abs.schedule_at(when, log_abs.append, idx)
+        sim_rel.schedule(when, log_rel.append, idx)
     sim_abs.run()
     sim_rel.run()
-    assert log_abs == log_rel == list(range(len(whens)))
+    assert log_abs == log_rel == [3, 0, 1, 2, 4, 5, 6]
     assert sim_abs.fingerprint() == sim_rel.fingerprint()
 
 
-def test_schedule_batch_rejects_past_and_negative_like_schedule():
+def test_schedule_at_keeps_the_exact_absolute_time():
+    """The fire time is ``when`` itself, not ``now + (when - now)``:
+    a float train scheduled mid-run lands bit-exactly."""
+    sim = Simulator()
+    seen = []
+    train = []
+    when = 0.1
+    for __ in range(50):
+        when = when + 0.1
+        train.append(when)
+
+    def start():
+        for at in train:
+            sim.schedule_at(at, lambda: seen.append(sim.now))
+
+    sim.schedule(0.1, start)
+    sim.run()
+    assert seen == train
+
+
+def test_schedule_at_rejects_the_past_like_schedule():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.now == 1.0
     with pytest.raises(SimulationError):
-        sim.schedule_batch([(0.5, lambda: None, ())], absolute=True)
+        sim.schedule_at(0.5, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_batch([(-0.1, lambda: None, ())])
+        sim.schedule(-0.1, lambda: None)
+    assert sim.run() == 1.0
 
 
-def test_schedule_batch_partial_insert_matches_schedule_loop():
-    """An item that raises mid-batch leaves the earlier items
-    scheduled — the exact semantics of an equivalent schedule() loop
-    that raises at the same position."""
-    def build(use_batch):
-        sim = Simulator()
-        log = []
-        items = [(0.1, log.append, (0,)), (0.2, log.append, (1,)),
-                 (-1.0, log.append, (2,)), (0.3, log.append, (3,))]
-        with pytest.raises(SimulationError):
-            if use_batch:
-                sim.schedule_batch(items)
-            else:
-                for delay, callback, args in items:
-                    sim.schedule(delay, callback, *args)
+# ----------------------------------------------------------------------
+# The run loop owns the cyclic-GC pause
+# ----------------------------------------------------------------------
+def _gc_probe(sim, seen):
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("loop", [{}, {"profile": True}, {"digest": False}],
+                         ids=["digested", "profiled", "plain"])
+@pytest.mark.parametrize("exit_by", ["drain", "until", "raise"])
+def test_run_pauses_gc_inside_callbacks_and_restores_it(exit_by, loop):
+    assert gc.isenabled()
+    sim = Simulator(**loop)
+    seen = []
+    _gc_probe(sim, seen)
+    if exit_by == "until":
+        sim.schedule(5.0, seen.append, "late")
+        assert sim.run(until=2.0) == 2.0
+    elif exit_by == "raise":
+        sim.schedule(2.0, _boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+    else:
         sim.run()
-        return log, sim.fingerprint()
-
-    batch_log, batch_fp = build(True)
-    loop_log, loop_fp = build(False)
-    assert batch_log == loop_log == [0, 1]
-    assert batch_fp == loop_fp
+    assert seen == [False]
+    assert gc.isenabled()
 
 
-@pytest.mark.skipif(not _WHEEL_BACKED,
-                    reason="reference backend exposes no wheel stats")
-def test_wheel_stats_are_digest_inert_and_populated():
-    def program(read_stats):
-        sim = Simulator()
-        for idx in range(600):
-            sim.schedule(0.001 * (idx % 97 + 1) + idx, lambda: None)
-        if read_stats:
-            sim.wheel_stats()
+def test_run_leaves_a_caller_disabled_gc_alone():
+    sim = Simulator()
+    seen = []
+    _gc_probe(sim, seen)
+    gc.disable()
+    try:
         sim.run()
-        return sim
-
-    plain = program(False)
-    probed = program(True)
-    assert plain.fingerprint() == probed.fingerprint()
-    stats = probed.wheel_stats()
-    for key in ("nbuckets", "width_s", "head_slot", "pending_buckets",
-                "pending_near", "pending_overflow", "resizes",
-                "spills", "activations", "occupancy"):
-        assert key in stats
-    assert stats["activations"] >= 1
-    assert sum(stats["occupancy"].values()) == stats["activations"]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
-@pytest.mark.skipif(not _WHEEL_BACKED,
-                    reason="reference backend exposes no wheel stats")
-def test_profile_report_includes_wheel_section():
-    sim = Simulator(profile=True)
-    sim.schedule(0.5, lambda: None)
-    sim.run()
-    report = sim.profile.as_dict()
-    assert "wheel" in report
-    assert report["wheel"]["activations"] >= 1
+def test_scatterpp_cell_fingerprint_independent_of_caller_gc_state():
+    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.scatter.config import baseline_configs
+
+    def cell():
+        return run_scatterpp_experiment(
+            baseline_configs()["C1"], num_clients=2, duration_s=3.0,
+            seed=0).trace_digest
+
+    with_gc = cell()
+    gc.disable()
+    try:
+        without_gc = cell()
+    finally:
+        gc.enable()
+    assert with_gc is not None
+    assert with_gc == without_gc
+
+
+# ----------------------------------------------------------------------
+# The whole stack on the reference witness
+# ----------------------------------------------------------------------
+#: Runs one scAtteR++ cell with ``repro.sim.reference`` installed as
+#: ``repro.sim.kernel`` before the stack imports, so sockets, stores
+#: and sidecars bind the witness classes.  The runner's ``Simulator``
+#: is shimmed because the witness constructor has no ``profile``.
+_REFERENCE_CELL = r"""
+import json, sys
+import repro.sim.reference as reference
+sys.modules["repro.sim.kernel"] = reference
+from repro.scatter.config import baseline_configs
+import repro.experiments.runner as runner
+runner.Simulator = \
+    lambda digest=True, profile=False: reference.Simulator(digest=digest)
+result = runner.run_scatterpp_experiment(
+    baseline_configs()["C1"], num_clients=2, duration_s=3.0, seed=0)
+sim = result.testbed.sim
+print(json.dumps({"kernel": type(sim).__module__,
+                  "events": sim.digest.events,
+                  "digest": result.trace_digest}))
+"""
+
+
+def test_reference_kernel_swapped_into_the_stack_gives_identical_digest():
+    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.scatter.config import baseline_configs
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _REFERENCE_CELL],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    witness = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = run_scatterpp_experiment(
+        baseline_configs()["C1"], num_clients=2, duration_s=3.0, seed=0)
+    assert witness["kernel"] == "repro.sim.reference"
+    assert witness["events"] == result.testbed.sim.digest.events > 0
+    assert witness["digest"] == result.trace_digest
