@@ -11,7 +11,10 @@ golden file cannot paper over), then replays it a third time through
 the content-addressed cell cache (refusing to write if the cached
 replay disagrees — a golden regenerated past a broken cache would pin
 the wrong digests), and rewrites
-``tests/golden/determinism_digests.json``.
+``tests/golden/determinism_digests.json`` and ``flow_digests.json``.
+It then runs every pinned runner cell of ``tests/test_runner_digests``
+twice (refusing to write if the two disagree) and rewrites
+``tests/golden/runner_digests.json``.
 """
 
 import json
@@ -31,6 +34,11 @@ from tests.test_determinism import (  # noqa: E402
     FLOW_GOLDEN_PATH,
     GOLDEN_PATH,
     _digest_map,
+)
+from tests.test_runner_digests import (  # noqa: E402
+    DURATION_S,
+    RUNNER_GOLDEN_PATH,
+    runner_digest_map,
 )
 
 
@@ -67,9 +75,23 @@ def _regenerate(campaign, path) -> bool:
     return True
 
 
+def _regenerate_runner_cells() -> bool:
+    first = runner_digest_map()
+    if runner_digest_map() != first:
+        print("FATAL: two back-to-back runs of the pinned runner cells "
+              "disagree — fix the nondeterminism before regenerating.")
+        return False
+    RUNNER_GOLDEN_PATH.write_text(json.dumps(
+        {"duration_s": DURATION_S, "digests": first},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(first)} runner cells to {RUNNER_GOLDEN_PATH}")
+    return True
+
+
 def main() -> int:
     ok = _regenerate(CONTRACT_CAMPAIGN, GOLDEN_PATH)
     ok = _regenerate(FLOW_CAMPAIGN, FLOW_GOLDEN_PATH) and ok
+    ok = _regenerate_runner_cells() and ok
     return 0 if ok else 1
 
 
