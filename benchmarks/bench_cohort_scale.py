@@ -32,9 +32,9 @@ import json
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
-from repro.experiments.runner import (run_cohort_experiment,
-                                      run_scatterpp_experiment)
+from repro.experiments.runner import CohortOptions, ExperimentSpec, run
 from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
 
@@ -83,14 +83,11 @@ def test_cohort_scale(save_result):
     placement = baseline_configs()["C1"]
     flow = default_flow_config()
 
-    micro, micro_wall, micro_peak = _measured(
-        lambda: run_scatterpp_experiment(
-            placement, num_clients=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow))
-    hybrid, cohort_wall, cohort_peak = _measured(
-        lambda: run_cohort_experiment(
-            placement, cohort_size=COHORT_SIZE, tracers=MICRO_CLIENTS,
-            duration_s=DURATION_S, seed=SEED, flow=flow))
+    micro_spec = ExperimentSpec(placement, MICRO_CLIENTS, DURATION_S,
+                                SEED, pipeline="scatterpp", flow=flow)
+    micro, micro_wall, micro_peak = _measured(lambda: run(micro_spec))
+    hybrid, cohort_wall, cohort_peak = _measured(lambda: run(replace(
+        micro_spec, cohort=CohortOptions(size=COHORT_SIZE))))
 
     macro = hybrid.cohort
     scale_ratio = COHORT_SIZE / MICRO_CLIENTS

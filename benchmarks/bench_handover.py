@@ -30,7 +30,13 @@ import os
 
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import DRAIN_S, run_mobility_experiment
+from repro.experiments.runner import (
+    DRAIN_S,
+    ChaosOptions,
+    ExperimentSpec,
+    MobilityOptions,
+    run,
+)
 from repro.flow import (
     ConservationError,
     check_client_conservation,
@@ -65,12 +71,21 @@ def _crash_plan(duration_s: float) -> FaultPlan:
     ])
 
 
+def _mobility_spec(clients, duration_s, seed, *, naive, plan,
+                   mean_dwell_s, min_dwell_s):
+    return ExperimentSpec(
+        baseline_configs()[PLACEMENT], clients, duration_s, seed,
+        pipeline="scatterpp",
+        chaos=ChaosOptions(plan=plan) if plan is not None else None,
+        mobility=MobilityOptions(naive=naive, mean_dwell_s=mean_dwell_s,
+                                 min_dwell_s=min_dwell_s))
+
+
 def _run_arm(seed: int, naive: bool) -> dict:
-    result = run_mobility_experiment(
-        baseline_configs()[PLACEMENT], num_clients=NUM_CLIENTS,
-        duration_s=DURATION_S, seed=seed, naive=naive,
+    result = run(_mobility_spec(
+        NUM_CLIENTS, DURATION_S, seed, naive=naive,
         plan=_crash_plan(DURATION_S), mean_dwell_s=MEAN_DWELL_S,
-        min_dwell_s=2.0)
+        min_dwell_s=2.0))
     report = result.mobility["report"]
     check_result_conservation(result)
     check_state_conservation(result)
@@ -127,10 +142,9 @@ def _conservation_sweep() -> dict:
                 at_s=float(rng.uniform(0.2, 0.9)) * SWEEP_DURATION_S,
                 service=str(rng.choice(["sift", "matching"])))
             for __ in range(crashes)]) if crashes else None
-        result = run_mobility_experiment(
-            baseline_configs()[PLACEMENT], num_clients=clients,
-            duration_s=SWEEP_DURATION_S, seed=seed, naive=naive,
-            plan=plan, mean_dwell_s=dwell, min_dwell_s=1.0)
+        result = run(_mobility_spec(
+            clients, SWEEP_DURATION_S, seed, naive=naive, plan=plan,
+            mean_dwell_s=dwell, min_dwell_s=1.0))
         handovers += result.mobility["report"]["started"]
         try:
             check_result_conservation(result)

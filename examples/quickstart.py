@@ -10,11 +10,8 @@ scAtteR, then for the redesigned scAtteR++.
 Run:  python examples/quickstart.py
 """
 
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import ExperimentSpec, run
 from repro.scatter.config import baseline_configs
 
 
@@ -24,12 +21,12 @@ def main() -> None:
           f"{ {s: m for s, m in placement.placements.items()} }\n")
 
     rows = []
-    for pipeline, runner in (("scAtteR", run_scatter_experiment),
-                             ("scAtteR++", run_scatterpp_experiment)):
+    for name, pipeline in (("scAtteR", "scatter"),
+                           ("scAtteR++", "scatterpp")):
         for clients in (1, 2, 4):
-            result = runner(placement, num_clients=clients,
-                            duration_s=30.0, seed=0)
-            rows.append([pipeline, clients,
+            result = run(ExperimentSpec(placement, clients, 30.0, seed=0,
+                                        pipeline=pipeline))
+            rows.append([name, clients,
                          result.mean_fps(),
                          result.success_rate(),
                          result.mean_e2e_ms(),

@@ -12,10 +12,7 @@ Run:  python examples/scaling_study.py
 """
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    run_scatter_experiment,
-    run_scatterpp_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, run
 from repro.scatter.config import scaling_config, uniform_config
 
 REPLICA_VECTORS = (
@@ -30,8 +27,8 @@ CLIENTS = (1, 2, 4, 6, 8)
 
 
 def main() -> None:
-    for pipeline, runner in (("scAtteR", run_scatter_experiment),
-                             ("scAtteR++", run_scatterpp_experiment)):
+    for name, pipeline in (("scAtteR", "scatter"),
+                           ("scAtteR++", "scatterpp")):
         rows = []
         for vector in REPLICA_VECTORS:
             if vector == [1, 1, 1, 1, 1]:
@@ -40,11 +37,11 @@ def main() -> None:
                 config = scaling_config(vector)
             fps_by_clients = []
             for clients in CLIENTS:
-                result = runner(config, num_clients=clients,
-                                duration_s=20.0, seed=0)
+                result = run(ExperimentSpec(config, clients, 20.0,
+                                            pipeline=pipeline))
                 fps_by_clients.append(result.mean_fps())
             rows.append([config.name] + fps_by_clients)
-        print(f"\n=== {pipeline}: mean per-client FPS ===")
+        print(f"\n=== {name}: mean per-client FPS ===")
         print(format_table(
             ["replicas"] + [f"{n} client(s)" for n in CLIENTS], rows))
 

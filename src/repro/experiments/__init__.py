@@ -1,8 +1,8 @@
 """Experiment harness: testbeds, runners and per-figure reproductions.
 
-:mod:`repro.experiments.runner` drives one deployment configuration
-with N concurrent clients and returns an
-:class:`~repro.experiments.runner.ExperimentResult` holding QoS and
+:func:`repro.experiments.runner.run` drives the one deployment an
+:class:`~repro.experiments.runner.ExperimentSpec` describes and returns
+an :class:`~repro.experiments.runner.ExperimentResult` holding QoS and
 hardware metrics; :mod:`repro.experiments.figures` maps every figure of
 the paper's evaluation to a function regenerating its rows.
 """
@@ -30,12 +30,14 @@ from repro.experiments.repetition import (
     significantly_better,
 )
 from repro.experiments.runner import (
+    ChaosOptions,
+    CohortOptions,
     ExperimentResult,
-    run_mobility_experiment,
-    run_ramp_experiment,
-    run_resilience_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
+    ExperimentSpec,
+    MobilityOptions,
+    RampOptions,
+    ScatterppOptions,
+    run,
 )
 from repro.experiments.store import (
     ResultStore,
@@ -48,7 +50,13 @@ __all__ = [
     "CampaignCellCache",
     "CellFailure",
     "CellTask",
+    "ChaosOptions",
+    "CohortOptions",
     "ExperimentResult",
+    "ExperimentSpec",
+    "MobilityOptions",
+    "RampOptions",
+    "ScatterppOptions",
     "code_fingerprint",
     "effective_workers",
     "ReplicatedMetric",
@@ -60,11 +68,7 @@ __all__ = [
     "regressions",
     "replicate",
     "replicate_experiment",
-    "run_mobility_experiment",
-    "run_ramp_experiment",
-    "run_resilience_experiment",
-    "run_scatter_experiment",
-    "run_scatterpp_experiment",
+    "run",
     "run_tasks",
     "shutdown_pool",
     "significantly_better",

@@ -11,12 +11,14 @@ never invalidate, and let any change to the inputs change the key.
 
 The key is a blake2b digest over two fingerprints:
 
-* **task fingerprint** — the task fields plus the fully *resolved*
-  placement (``repr(PlacementConfig)``, so editing a placement's
-  replica map changes the key even though its name does not) plus any
-  pipeline-specific extras registered in
-  :data:`repro.experiments.campaign.RUNNER_FINGERPRINTS` (the cohort
-  runner contributes its multiplier and default flow config);
+* **task fingerprint** — ``repr`` of the task's
+  :class:`~repro.experiments.runner.ExperimentSpec`, built by the
+  pipeline's pure spec producer
+  (:func:`repro.experiments.campaign.cell_spec`).  The spec is the
+  whole cell — the fully resolved placement (so editing a placement's
+  replica map changes the key even though its name does not), the
+  load, the seed and every block a pipeline injects (the cohort size,
+  the flow config, the power model) — and its ``repr`` is canonical;
 * **code fingerprint** — blake2b over every ``*.py`` file of the
   installed ``repro`` source tree (relative path + contents).  Any
   source edit, however small, misses the whole cache.  The walk is
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+from dataclasses import asdict
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.metrics.summary import CacheStats
@@ -97,26 +100,16 @@ def reset_code_fingerprint_cache() -> None:
 
 
 def task_fingerprint(task) -> str:
-    """Digest of one task's full configuration.
+    """Digest of one task's full configuration: its spec's ``repr``.
 
-    Covers the task fields, the resolved placement object, and any
-    pipeline-registered extras — everything that parameterizes the
-    cell *besides* the code itself.
+    Builds the spec only — computing a fingerprint never runs a cell.
     """
     # Imported lazily: campaign.py imports parallel.py which may pull
     # this module; the cycle is broken the same way run_cell_task does.
-    from repro.experiments.campaign import (RUNNER_FINGERPRINTS,
-                                            resolve_placement)
+    from repro.experiments.campaign import cell_spec
 
-    extras = RUNNER_FINGERPRINTS.get(task.pipeline)
-    h = hashlib.blake2b(digest_size=16)
-    for part in (task.pipeline, task.placement, task.clients,
-                 task.seed, task.duration_s,
-                 repr(resolve_placement(task.placement)),
-                 repr(extras() if extras is not None else ())):
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
+    return hashlib.blake2b(repr(cell_spec(task)).encode(),
+                           digest_size=16).hexdigest()
 
 
 class CampaignCellCache:
@@ -198,12 +191,7 @@ class CampaignCellCache:
                 f"cell summaries are dicts, got {type(summary).__name__}")
         path = self._path(self.key(task))
         payload = json.dumps(
-            {"format": ENTRY_FORMAT,
-             "task": {"pipeline": task.pipeline,
-                      "placement": task.placement,
-                      "clients": task.clients,
-                      "seed": task.seed,
-                      "duration_s": task.duration_s},
+            {"format": ENTRY_FORMAT, "task": asdict(task),
              "summary": summary},
             indent=2, sort_keys=True)
         from repro.experiments.store import atomic_write_text

@@ -15,8 +15,9 @@ import numpy as np
 
 from repro.experiments.runner import (
     ExperimentResult,
-    run_ramp_experiment,
-    run_scatter_experiment,
+    ExperimentSpec,
+    RampOptions,
+    run,
     run_scatterpp_experiment,
 )
 from repro.net.netem import Netem, mobility_oscillation
@@ -50,6 +51,16 @@ def _qos_row(result: ExperimentResult) -> Dict:
     }
 
 
+def _runs(configs: Sequence[PlacementConfig], clients: Sequence[int],
+          duration_s: float, seed: int, **spec):
+    """``(config, clients, result)`` for every cell of the grid, in
+    order; ``spec`` adds further :class:`ExperimentSpec` fields."""
+    for config in configs:
+        for n in clients:
+            yield config, n, run(ExperimentSpec(config, n, duration_s,
+                                                seed, **spec))
+
+
 # ----------------------------------------------------------------------
 # Figure 2 — baseline application performance on the edge
 # ----------------------------------------------------------------------
@@ -57,13 +68,8 @@ def fig2_baseline_edge(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                        duration_s: float = 60.0,
                        seed: int = 0) -> List[Dict]:
     """scAtteR QoS + utilization for C1/C2/C12/C21 × client counts."""
-    rows = []
-    for config in baseline_configs().values():
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            rows.append(_qos_row(result))
-    return rows
+    return [_qos_row(result) for __, __, result in _runs(
+        baseline_configs().values(), clients, duration_s, seed)]
 
 
 # ----------------------------------------------------------------------
@@ -83,13 +89,8 @@ def fig3_scalability(*, clients: Sequence[int] = DEFAULT_CLIENTS,
         configs.append(uniform_config("baseline-E2", "e2"))
     configs.extend(scaling_config(vector)
                    for vector in FIG3_REPLICA_VECTORS)
-    rows = []
-    for config in configs:
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            rows.append(_qos_row(result))
-    return rows
+    return [_qos_row(result) for __, __, result
+            in _runs(configs, clients, duration_s, seed)]
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +99,8 @@ def fig3_scalability(*, clients: Sequence[int] = DEFAULT_CLIENTS,
 def fig4_cloud(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                duration_s: float = 60.0, seed: int = 0) -> List[Dict]:
     rows = []
-    for n in clients:
-        result = run_scatter_experiment(
-            cloud_config(), num_clients=n, duration_s=duration_s,
-            seed=seed)
+    for __, __, result in _runs([cloud_config()], clients, duration_s,
+                                seed):
         row = _qos_row(result)
         # The paper reports the cloud median FPS (18.2).
         per_second = [fps for client in result.clients
@@ -117,13 +116,9 @@ def fig4_cloud(*, clients: Sequence[int] = DEFAULT_CLIENTS,
 def fig6_scatterpp_edge(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                         duration_s: float = 60.0,
                         seed: int = 0) -> List[Dict]:
-    rows = []
-    for config in baseline_configs().values():
-        for n in clients:
-            result = run_scatterpp_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            rows.append(_qos_row(result))
-    return rows
+    return [_qos_row(result) for __, __, result in _runs(
+        baseline_configs().values(), clients, duration_s, seed,
+        pipeline="scatterpp")]
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +135,8 @@ def fig7_scaling_clients(*, clients: Sequence[int] = tuple(range(1, 11)),
     for vector in FIG7_REPLICA_VECTORS:
         config = scaling_config(vector)
         for n in clients:
+            # Called through the module global: benchmark harnesses
+            # replace it to observe every fig7 cell.
             result = run_scatterpp_experiment(
                 config, num_clients=n, duration_s=duration_s, seed=seed)
             rows.append({
@@ -163,9 +160,7 @@ def fig8_sidecar_analytics(*, max_clients: int = 10,
     analytics series plus per-stage summaries.
     """
     config = scaling_config([1, 3, 2, 1, 3])
-    result = run_ramp_experiment(config, max_clients=max_clients,
-                                 stage_s=stage_s, seed=seed)
-    return _analytics_report(result, stage_s)
+    return _ramp_report(config, max_clients, stage_s, seed)
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +169,14 @@ def fig8_sidecar_analytics(*, max_clients: int = 10,
 def fig12_sidecar_e1(*, max_clients: int = 4, stage_s: float = 10.0,
                      seed: int = 0) -> Dict:
     config = uniform_config("E1-only", "e1")
-    result = run_ramp_experiment(config, max_clients=max_clients,
-                                 stage_s=stage_s, seed=seed)
-    return _analytics_report(result, stage_s)
+    return _ramp_report(config, max_clients, stage_s, seed)
 
 
-def _analytics_report(result: ExperimentResult,
-                      stage_s: float) -> Dict:
+def _ramp_report(config: PlacementConfig, max_clients: int,
+                 stage_s: float, seed: int) -> Dict:
+    result = run(ExperimentSpec(
+        config, max_clients, stage_s * max_clients, seed,
+        pipeline="scatterpp", ramp=RampOptions(stage_s=stage_s)))
     analytics = result.analytics
     report = {"config": result.config_name,
               "duration_s": result.duration_s,
@@ -223,31 +219,22 @@ def fig9_network_conditions(*, clients: Sequence[int] = DEFAULT_CLIENTS,
     20% probability for mobility; loss runs use 1 ms delay, latency
     runs use the minimal loss setting.
     """
-    config = uniform_config("E2", "e2")
-    loss_rows = []
-    for loss in FIG9_LOSS_GRID:
-        netem = Netem(delay_s=0.0005, loss=loss,
-                      **mobility_oscillation())
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s,
-                seed=seed, client_netem=netem)
-            loss_rows.append({"loss": loss, "clients": n,
-                              "fps": result.mean_fps(),
-                              "e2e_ms": result.mean_e2e_ms(),
-                              "success_rate": result.success_rate()})
-    latency_rows = []
-    for rtt_s in FIG9_RTT_GRID_S:
-        netem = Netem(delay_s=rtt_s / 2.0, loss=FIG9_LOSS_GRID[0],
-                      **mobility_oscillation())
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s,
-                seed=seed, client_netem=netem)
-            latency_rows.append({"rtt_ms": rtt_s * 1000.0, "clients": n,
-                                 "fps": result.mean_fps(),
-                                 "e2e_ms": result.mean_e2e_ms(),
-                                 "success_rate": result.success_rate()})
+    configs = [uniform_config("E2", "e2")]
+
+    def sweep(key, value, netem):
+        return [{key: value, "clients": n, "fps": result.mean_fps(),
+                 "e2e_ms": result.mean_e2e_ms(),
+                 "success_rate": result.success_rate()}
+                for __, n, result in _runs(configs, clients, duration_s,
+                                           seed, client_netem=netem)]
+
+    loss_rows = [row for loss in FIG9_LOSS_GRID for row in sweep(
+        "loss", loss, Netem(delay_s=0.0005, loss=loss,
+                            **mobility_oscillation()))]
+    latency_rows = [row for rtt_s in FIG9_RTT_GRID_S for row in sweep(
+        "rtt_ms", rtt_s * 1000.0,
+        Netem(delay_s=rtt_s / 2.0, loss=FIG9_LOSS_GRID[0],
+              **mobility_oscillation()))]
     return {"loss": loss_rows, "latency": latency_rows}
 
 
@@ -257,30 +244,15 @@ def fig9_network_conditions(*, clients: Sequence[int] = DEFAULT_CLIENTS,
 def fig10_jitter(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                  duration_s: float = 30.0, seed: int = 0) -> Dict:
     """Jitter panels: (a) baseline edge, (b) scalability, (c) cloud."""
-    panels: Dict[str, List[Dict]] = {"baseline": [], "scaling": [],
-                                     "cloud": []}
-    for config in baseline_configs().values():
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            panels["baseline"].append({
-                "config": config.name, "clients": n,
-                "jitter_ms": result.mean_jitter_ms()})
-    for vector in FIG3_REPLICA_VECTORS:
-        config = scaling_config(vector)
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            panels["scaling"].append({
-                "config": config.name, "clients": n,
-                "jitter_ms": result.mean_jitter_ms()})
-    for n in clients:
-        result = run_scatter_experiment(
-            cloud_config(), num_clients=n, duration_s=duration_s,
-            seed=seed)
-        panels["cloud"].append({"config": "cloud", "clients": n,
-                                "jitter_ms": result.mean_jitter_ms()})
-    return panels
+    panels = {"baseline": baseline_configs().values(),
+              "scaling": [scaling_config(vector)
+                          for vector in FIG3_REPLICA_VECTORS],
+              "cloud": [cloud_config()]}
+    return {panel: [{"config": config.name, "clients": n,
+                     "jitter_ms": result.mean_jitter_ms()}
+                    for config, n, result
+                    in _runs(configs, clients, duration_s, seed)]
+            for panel, configs in panels.items()}
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +261,8 @@ def fig10_jitter(*, clients: Sequence[int] = DEFAULT_CLIENTS,
 def fig11_hybrid(*, clients: Sequence[int] = DEFAULT_CLIENTS,
                  duration_s: float = 30.0, seed: int = 0) -> List[Dict]:
     """[E1, C, C, C, C] vs the cloud-only reference."""
-    rows = []
-    for config in (hybrid_config(), cloud_config()):
-        for n in clients:
-            result = run_scatter_experiment(
-                config, num_clients=n, duration_s=duration_s, seed=seed)
-            rows.append(_qos_row(result))
-    return rows
+    return [_qos_row(result) for __, __, result in _runs(
+        (hybrid_config(), cloud_config()), clients, duration_s, seed)]
 
 
 # ----------------------------------------------------------------------
@@ -312,10 +279,13 @@ def headline_capacity(*, duration_s: float = 30.0,
       scAtteR++ deployment.
     """
     config = baseline_configs()["C12"]
-    scatter4 = run_scatter_experiment(config, num_clients=4,
-                                      duration_s=duration_s, seed=seed)
-    pp4 = run_scatterpp_experiment(config, num_clients=4,
-                                   duration_s=duration_s, seed=seed)
+
+    def cell(clients, pipeline="scatter", placement=config):
+        return run(ExperimentSpec(placement, clients, duration_s, seed,
+                                  pipeline=pipeline))
+
+    scatter4 = cell(4)
+    pp4 = cell(4, "scatterpp")
     framerate_multiplier = (pp4.mean_fps() / scatter4.mean_fps()
                             if scatter4.mean_fps() else float("inf"))
 
@@ -324,8 +294,7 @@ def headline_capacity(*, duration_s: float = 30.0,
     capacity = 0
     capacity_fps = {}
     for n in range(1, 13):
-        result = run_scatterpp_experiment(
-            scaled, num_clients=n, duration_s=duration_s, seed=seed)
+        result = cell(n, "scatterpp", scaled)
         capacity_fps[n] = result.mean_fps()
         if result.mean_fps() >= reference_fps:
             capacity = n
@@ -334,12 +303,8 @@ def headline_capacity(*, duration_s: float = 30.0,
         "scatter_fps_4_clients": scatter4.mean_fps(),
         "scatterpp_fps_4_clients": pp4.mean_fps(),
         "framerate_multiplier": framerate_multiplier,
-        "scatter_success_1_client": run_scatter_experiment(
-            config, num_clients=1, duration_s=duration_s,
-            seed=seed).success_rate(),
-        "scatterpp_success_1_client": run_scatterpp_experiment(
-            config, num_clients=1, duration_s=duration_s,
-            seed=seed).success_rate(),
+        "scatter_success_1_client": cell(1).success_rate(),
+        "scatterpp_success_1_client": cell(1, "scatterpp").success_rate(),
         "capacity_clients": capacity,
         "capacity_multiplier": capacity_multiplier,
         "capacity_fps_by_clients": capacity_fps,

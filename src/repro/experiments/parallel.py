@@ -131,20 +131,19 @@ def run_cell_task(task: CellTask) -> Dict:
     """Execute one task hermetically and return its summary dict.
 
     The summary carries the scalar QoS metrics plus the run's
-    ``trace_digest``.  Runners registered in
-    :data:`repro.experiments.campaign.RUNNERS` may also return a
-    ready-made summary dict (used by tests to fake cheap cells).
+    ``trace_digest``.  Entries of
+    :data:`repro.experiments.campaign.RUNNERS` return the task's spec;
+    they may also return a ready-made summary dict (used by tests to
+    fake cheap cells).
     """
     # Imported lazily: campaign.py imports this module at top level.
-    from repro.experiments.campaign import RUNNERS, resolve_placement
+    from repro.experiments.campaign import RUNNERS, cell_spec
+    from repro.experiments.runner import run
     from repro.experiments.store import summarize_result
 
-    runner = RUNNERS[task.pipeline]
-    placement = resolve_placement(task.placement)
-    result = runner(placement, num_clients=task.clients,
-                    duration_s=task.duration_s, seed=task.seed)
-    return result if isinstance(result, dict) \
-        else summarize_result(result)
+    spec = cell_spec(task, RUNNERS)
+    return spec if isinstance(spec, dict) \
+        else summarize_result(run(spec))
 
 
 def _execute(task: CellTask) -> Tuple:

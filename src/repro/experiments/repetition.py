@@ -10,14 +10,13 @@ check used when claiming one pipeline beats another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run
 from repro.experiments.store import summarize_result
-from repro.scatter.config import PlacementConfig
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,13 @@ def replicate(run_fn: Callable[[int], Dict],
     return aggregate_summaries(summaries)
 
 
-def replicate_experiment(placement: PlacementConfig, *,
-                         num_clients: int, duration_s: float = 30.0,
-                         seeds: Sequence[int] = (0, 1, 2),
-                         runner: Callable = run_scatter_experiment
+def replicate_experiment(spec: ExperimentSpec, *,
+                         seeds: Sequence[int] = (0, 1, 2)
                          ) -> Dict[str, ReplicatedMetric]:
-    """Replicate one deployment configuration across seeds."""
-    def run(seed: int) -> Dict:
-        result = runner(placement, num_clients=num_clients,
-                        duration_s=duration_s, seed=seed)
-        return summarize_result(result)
-
-    return replicate(run, seeds)
+    """Replicate one spec across seeds (its own ``seed`` is ignored)."""
+    return replicate(
+        lambda seed: summarize_result(run(replace(spec, seed=seed))),
+        seeds)
 
 
 def significantly_better(better: ReplicatedMetric,

@@ -8,8 +8,9 @@ end-to-end time go, and how does the split between compute, queueing
 and network shift with load?
 
 Attach a :class:`Tracer` through the experiment runner
-(``run_scatter_experiment(..., tracing=True)``) or set the ``tracer``
-attribute on individual services.
+(``run(ExperimentSpec(placement, clients, tracing=True))``, from
+:mod:`repro.experiments.runner`) or set the ``tracer`` attribute on
+individual services.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ sharing a directory race benignly thanks to atomic replace.
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -90,13 +93,82 @@ def test_any_task_field_change_changes_the_fingerprint(field, value):
 
 
 def test_runner_extras_are_folded_into_the_fingerprint(monkeypatch):
-    """Config a runner injects beyond the task (the cohort multiplier)
+    """Config a pipeline injects beyond the task (the cohort multiplier)
     must change the key when it changes, even though the task fields
-    do not."""
+    do not: it lands in the cell's spec."""
     task = make_task(pipeline="cohort")
     base = task_fingerprint(task)
     monkeypatch.setattr(campaign_mod, "DEFAULT_COHORT_MULTIPLIER", 7)
     assert task_fingerprint(task) != base
+
+
+@pytest.mark.parametrize("pipeline", ["scatterpp-flow", "cohort",
+                                      "optimize"])
+def test_flow_config_change_misses(monkeypatch, pipeline):
+    import repro.flow
+
+    task = make_task(pipeline=pipeline)
+    base = task_fingerprint(task)
+    changed = repro.flow.default_flow_config().with_overrides(batch_max=5)
+    monkeypatch.setattr(repro.flow, "default_flow_config",
+                        lambda: changed)
+    assert task_fingerprint(task) != base
+
+
+def test_power_model_change_misses(monkeypatch):
+    from dataclasses import replace
+
+    import repro.metrics.energy as energy
+
+    task = make_task(pipeline="optimize")
+    base = task_fingerprint(task)
+    monkeypatch.setattr(energy, "DEFAULT_POWER_MODEL", replace(
+        energy.DEFAULT_POWER_MODEL, device_idle_w=3.0))
+    assert task_fingerprint(task) != base
+
+
+#: One task per campaign pipeline, genome specs included.
+SPEC_TASKS = [make_task(pipeline=pipeline, placement=placement)
+              for pipeline in sorted(campaign_mod.PIPELINES)
+              for placement in ("C12", "1,3,2,1,3")] + [
+    make_task(pipeline="optimize",
+              placement="opt:primary=e1;sift=e1+e2;encoding=e2;lsh=e2;"
+                        "matching=e2@as=drop0.02+depth8+max2+e1")]
+
+_FRESH_REPRS = r"""
+import json, sys
+from repro.experiments.campaign import cell_spec
+from repro.experiments.parallel import CellTask
+tasks = [CellTask(**fields) for fields in json.loads(sys.argv[1])]
+print(json.dumps([repr(cell_spec(task)) for task in tasks]))
+"""
+
+
+def test_spec_repr_is_a_stable_cache_key():
+    """Each pipeline's cell spec has the same ``repr`` in a fresh
+    interpreter, and no memory address leaks into it."""
+    from dataclasses import asdict
+
+    from repro.experiments.campaign import cell_spec
+
+    here = [repr(cell_spec(task)) for task in SPEC_TASKS]
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_REPRS,
+         json.dumps([asdict(task) for task in SPEC_TASKS])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == here
+    for text in here:
+        assert "0x" not in text, text
+
+
+def test_fingerprint_never_runs_a_cell(monkeypatch):
+    """Keys come from the pure spec producers, not the runner seam."""
+    monkeypatch.setitem(campaign_mod.RUNNERS, "scatter", raising_runner)
+    assert task_fingerprint(make_task()) == task_fingerprint(make_task())
 
 
 def test_cache_key_combines_task_and_code(cache):

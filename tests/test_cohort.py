@@ -215,14 +215,22 @@ def test_merge_cohort_dicts_empty_and_single():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def deployed():
-    from repro.experiments.runner import _build
+    from repro.cluster.testbed import build_paper_testbed
+    from repro.orchestra.orchestrator import Orchestrator
     from repro.scatter.config import baseline_configs
+    from repro.scatter.pipeline import ScatterPipeline
     from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
+    from repro.sim import RngRegistry, Simulator
 
     flow = default_flow_config()
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        baseline_configs()["C1"], 1, 0, None,
-        scatterpp_pipeline_kwargs(flow=flow), flow=flow)
+    sim = Simulator()
+    testbed = build_paper_testbed(sim, RngRegistry(0), num_clients=1)
+    orchestrator = Orchestrator(testbed)
+    pipeline = ScatterPipeline(testbed, orchestrator,
+                               baseline_configs()["C1"],
+                               **scatterpp_pipeline_kwargs(flow=flow))
+    pipeline.deploy()
+    orchestrator.start()
     return sim, pipeline, flow
 
 

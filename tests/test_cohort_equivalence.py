@@ -21,8 +21,7 @@ import json
 import pytest
 
 from repro.experiments.campaign import run_campaign
-from repro.experiments.runner import (run_cohort_experiment,
-                                      run_scatterpp_experiment)
+from repro.experiments.runner import CohortOptions, ExperimentSpec, run
 from repro.experiments.store import summarize_result
 from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
@@ -34,15 +33,19 @@ DURATION_S = 2.0
 
 
 def micro_run(*, flow, seed=0, clients=2):
-    return run_scatterpp_experiment(
-        PLACEMENT, num_clients=clients, duration_s=DURATION_S,
-        seed=seed, flow=flow)
+    return run(ExperimentSpec(PLACEMENT, clients, DURATION_S, seed,
+                              pipeline="scatterpp", flow=flow))
+
+
+def cohort_run(*, size, tracers=2, flow=None, seed=0, **options):
+    return run(ExperimentSpec(
+        PLACEMENT, tracers, DURATION_S, seed, pipeline="scatterpp",
+        flow=flow, cohort=CohortOptions(size=size, **options)))
 
 
 def all_tracer_run(*, flow, seed=0, clients=2):
-    return run_cohort_experiment(
-        PLACEMENT, cohort_size=clients, tracers=clients,
-        duration_s=DURATION_S, seed=seed, flow=flow)
+    return cohort_run(size=clients, tracers=clients, flow=flow,
+                      seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +112,8 @@ def test_cohort_off_campaign_matches_golden_digests(workers):
 # Hybrid runs: deterministic per seed, conservation holds
 # ----------------------------------------------------------------------
 def hybrid_run(seed=0, load="constant"):
-    return run_cohort_experiment(
-        PLACEMENT, cohort_size=500, tracers=2,
-        duration_s=DURATION_S, seed=seed,
-        flow=default_flow_config(), load=load)
+    return cohort_run(size=500, flow=default_flow_config(), seed=seed,
+                      load=load)
 
 
 def test_hybrid_run_is_deterministic_per_seed():
@@ -150,11 +151,7 @@ def test_tracer_qos_unaffected_by_macro_bookkeeping_scale():
     bookkeeping must not matter beyond the load it represents: equal
     macro populations at different spec sizes behave identically when
     the load process offers the same frames."""
-    small = run_cohort_experiment(
-        PLACEMENT, cohort_size=302, tracers=2,
-        duration_s=DURATION_S, seed=0, flow=default_flow_config())
-    again = run_cohort_experiment(
-        PLACEMENT, cohort_size=302, tracers=2,
-        duration_s=DURATION_S, seed=0, flow=default_flow_config())
+    small = cohort_run(size=302, flow=default_flow_config())
+    again = cohort_run(size=302, flow=default_flow_config())
     assert small.trace_digest == again.trace_digest
     assert small.cohort == again.cohort

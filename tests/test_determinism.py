@@ -171,16 +171,16 @@ def test_neutral_flow_config_matches_flow_none_bit_for_bit():
     advertiser process, pacing off → no pacer) must leave the event
     trajectory untouched, not merely the metrics.
     """
-    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.experiments.runner import ExperimentSpec, run
     from repro.flow import neutral_flow_config
     from repro.scatter.config import baseline_configs
 
     placement = baseline_configs()["C1"]
-    base = run_scatterpp_experiment(placement, num_clients=2,
-                                    duration_s=2.0, seed=0)
-    neutral = run_scatterpp_experiment(placement, num_clients=2,
-                                       duration_s=2.0, seed=0,
-                                       flow=neutral_flow_config())
+    base = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
+                              pipeline="scatterpp"))
+    neutral = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
+                                 flow=neutral_flow_config(),
+                                 pipeline="scatterpp"))
     assert neutral.trace_digest == base.trace_digest
     assert [c.received for c in neutral.clients] == \
         [c.received for c in base.clients]
@@ -190,15 +190,14 @@ def test_event_profiler_is_inert_on_a_real_cell():
     """``profile=True`` must not perturb the trajectory of a full
     experiment cell — same trace digest, same delivered frames — while
     still reporting a per-event-kind breakdown."""
-    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.experiments.runner import ExperimentSpec, run
     from repro.scatter.config import baseline_configs
 
     placement = baseline_configs()["C1"]
-    base = run_scatterpp_experiment(placement, num_clients=2,
-                                    duration_s=2.0, seed=0)
-    profiled = run_scatterpp_experiment(placement, num_clients=2,
-                                        duration_s=2.0, seed=0,
-                                        profile=True)
+    base = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
+                              pipeline="scatterpp"))
+    profiled = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
+                                  profile=True, pipeline="scatterpp"))
     assert base.event_profile is None
     assert profiled.trace_digest == base.trace_digest
     assert [c.received for c in profiled.clients] == \

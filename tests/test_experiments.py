@@ -14,7 +14,7 @@ from repro.experiments.reporting import (
     service_metric_table,
     utilization_table,
 )
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run
 from repro.scatter.config import baseline_configs
 
 
@@ -152,8 +152,8 @@ def test_analytics_table_renders():
 # Runner mechanics
 # ----------------------------------------------------------------------
 def test_runner_result_fields():
-    result = run_scatter_experiment(baseline_configs()["C1"],
-                                    num_clients=2, duration_s=5.0)
+    result = run(ExperimentSpec(baseline_configs()["C1"], clients=2,
+                                duration_s=5.0))
     assert result.num_clients == 2
     assert len(result.clients) == 2
     assert result.analytics is None

@@ -26,18 +26,20 @@ from hypothesis import strategies as st
 
 from repro.experiments.campaign import Campaign, run_campaign
 from repro.experiments.parallel import plan_tasks, run_tasks
-from repro.experiments.runner import (
-    DRAIN_S,
-    _attach_tracer,
-    _build,
-)
+from repro.cluster.testbed import build_paper_testbed
+from repro.experiments.runner import DRAIN_S
 from repro.flow import (
     ADMISSION_POLICIES,
     FlowConfig,
     check_sidecar_conservation,
 )
+from repro.metrics.tracing import Tracer
+from repro.orchestra.orchestrator import Orchestrator
+from repro.scatter.client import ArClient
 from repro.scatter.config import PIPELINE_ORDER, baseline_configs
+from repro.scatter.pipeline import ScatterPipeline
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
+from repro.sim import RngRegistry, Simulator
 
 PLACEMENT = baseline_configs()["C1"]
 DURATION_S = 3.0
@@ -65,10 +67,21 @@ FAULTS = st.one_of(
 
 def _run_schedule(flow, num_clients, seed, fault):
     """One full deployment under a randomized schedule."""
-    kwargs = scatterpp_pipeline_kwargs(flow=flow)
-    sim, testbed, orchestrator, pipeline, clients = _build(
-        PLACEMENT, num_clients, seed, None, kwargs, flow=flow)
-    tracer = _attach_tracer(orchestrator, clients)
+    sim = Simulator()
+    rng = RngRegistry(seed)
+    testbed = build_paper_testbed(sim, rng, num_clients=num_clients)
+    orchestrator = Orchestrator(testbed)
+    pipeline = ScatterPipeline(testbed, orchestrator, PLACEMENT,
+                               **scatterpp_pipeline_kwargs(flow=flow))
+    pipeline.deploy()
+    orchestrator.start()
+    clients = [ArClient(client_id=i, node=node, network=testbed.network,
+                        registry=orchestrator.registry, flow=flow,
+                        rng=rng.stream(f"client.{i}"))
+               for i, node in enumerate(testbed.client_nodes)]
+    tracer = Tracer()
+    for traced in orchestrator.all_instances() + clients:
+        traced.tracer = tracer
     if fault is not None:
         service_name, when = fault
         instance = pipeline.instances(service_name)[0]

@@ -28,7 +28,13 @@ from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.campaign import Campaign, run_campaign
-from repro.experiments.runner import DRAIN_S, run_mobility_experiment
+from repro.experiments.runner import (
+    DRAIN_S,
+    ChaosOptions,
+    ExperimentSpec,
+    MobilityOptions,
+    run,
+)
 from repro.flow import (
     FlowConfig,
     check_client_conservation,
@@ -64,15 +70,16 @@ FLOWS = st.one_of(
 
 
 def _run_schedule(seed, num_clients, mean_dwell_s, naive, fault, flow):
-    plan = None
+    chaos = None
     if fault is not None:
-        plan = FaultPlan([InstanceCrash(at_s=frac * DURATION_S,
-                                        service=service)
-                          for service, frac in fault])
-    return run_mobility_experiment(
-        PLACEMENT, num_clients=num_clients, duration_s=DURATION_S,
-        seed=seed, naive=naive, plan=plan, flow=flow,
-        mean_dwell_s=mean_dwell_s, min_dwell_s=2.0)
+        chaos = ChaosOptions(plan=FaultPlan([
+            InstanceCrash(at_s=frac * DURATION_S, service=service)
+            for service, frac in fault]))
+    return run(ExperimentSpec(
+        PLACEMENT, num_clients, DURATION_S, seed, pipeline="scatterpp",
+        flow=flow, chaos=chaos,
+        mobility=MobilityOptions(naive=naive, mean_dwell_s=mean_dwell_s,
+                                 min_dwell_s=2.0)))
 
 
 @SETTINGS

@@ -22,10 +22,9 @@ import repro.cli
 import repro.experiments.campaign  # the CLI loads it on first use
 loaded = {"after_import": sorted(m for m in sys.modules
                                  if m.split(".")[0] in HEAVY)}
-from repro.experiments.runner import run_scatter_experiment
+from repro.experiments.runner import ExperimentSpec, run
 from repro.scatter.config import baseline_configs
-result = run_scatter_experiment(baseline_configs()["C12"], num_clients=1,
-                                duration_s=1.0, seed=0)
+result = run(ExperimentSpec(baseline_configs()["C12"], 1, 1.0))
 loaded["after_cell"] = sorted(m for m in sys.modules
                               if m.split(".")[0] in HEAVY)
 loaded["core"] = [m for m in ("repro.experiments.runner",

@@ -306,7 +306,7 @@ def test_experiment_digest_identical_with_active_cache(trained_stack):
     simulated services consume calibrated virtual time, so enabling
     the cache must not move a single simulated event.
     """
-    from repro.experiments.runner import run_scatter_experiment
+    from repro.experiments.runner import ExperimentSpec, run
     from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
     video, extractor, pca, encoder = trained_stack
@@ -314,21 +314,21 @@ def test_experiment_digest_identical_with_active_cache(trained_stack):
     model = ContentCostModel.from_video(video,
                                         cache=FeatureCache())
 
-    def run(cache):
+    def cell(cache):
         backend = FrameFeatureExtractor(
             video, extractor, pca=pca, encoder=encoder, cache=cache)
         service_kwargs = {name: {"cost_model": model}
                           for name in PIPELINE_ORDER}
         service_kwargs["sift"]["vision_backend"] = backend
         service_kwargs["encoding"]["vision_backend"] = backend
-        result = run_scatter_experiment(
-            placement, num_clients=2, duration_s=1.0, seed=0,
-            pipeline_kwargs={"service_kwargs": service_kwargs})
+        result = run(ExperimentSpec(
+            placement, 2, 1.0, seed=0,
+            pipeline_kwargs={"service_kwargs": service_kwargs}))
         assert backend.frames_extracted > 0
         return result, cache.stats()
 
-    enabled_result, enabled_stats = run(FeatureCache())
-    disabled_result, disabled_stats = run(
+    enabled_result, enabled_stats = cell(FeatureCache())
+    disabled_result, disabled_stats = cell(
         FeatureCache(enabled=False))
     assert enabled_stats.hits > 0  # the cache actually engaged
     assert disabled_stats.hits == 0

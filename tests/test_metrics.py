@@ -436,13 +436,14 @@ def test_power_model_active_watts_gpu_vs_cpu():
 def test_energy_summary_conserves_joules():
     """Total joules must equal device + idle + per-stage exactly (the
     summation order the model documents), on a real C1 run."""
-    from repro.experiments.runner import run_scatterpp_flow_experiment
+    from repro.experiments.runner import ExperimentSpec, run
+    from repro.flow import default_flow_config
     from repro.metrics.energy import energy_summary
     from repro.scatter.config import PIPELINE_ORDER, baseline_configs
 
-    result = run_scatterpp_flow_experiment(
-        baseline_configs()["C1"], num_clients=1, duration_s=2.0,
-        seed=0)
+    result = run(ExperimentSpec(baseline_configs()["C1"], 1, 2.0,
+                                pipeline="scatterpp",
+                                flow=default_flow_config()))
     energy = energy_summary(result)
     total = (energy["device_j"] + energy["idle_j"]
              + sum(energy["per_stage_j"][s] for s in PIPELINE_ORDER))

@@ -15,8 +15,10 @@ import pytest
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.runner import (
     DRAIN_S,
-    run_mobility_experiment,
-    run_scatterpp_experiment,
+    ChaosOptions,
+    ExperimentSpec,
+    MobilityOptions,
+    run,
 )
 from repro.flow import (
     check_client_conservation,
@@ -177,12 +179,12 @@ ONE_MOVE = ClientTrajectory(client_id=0, segments=(
 DURATION_S = 10.0
 
 
-def _mobility(**kwargs):
-    kwargs.setdefault("num_clients", 1)
-    kwargs.setdefault("duration_s", DURATION_S)
-    kwargs.setdefault("seed", 0)
-    kwargs.setdefault("trajectories", [ONE_MOVE])
-    return run_mobility_experiment(PLACEMENT, **kwargs)
+def _mobility(*, seed=0, trajectories=(ONE_MOVE,), plan=None,
+              **mobility):
+    return run(ExperimentSpec(
+        PLACEMENT, 1, DURATION_S, seed, pipeline="scatterpp",
+        chaos=ChaosOptions(plan=plan) if plan is not None else None,
+        mobility=MobilityOptions(trajectories=trajectories, **mobility)))
 
 
 def test_stateful_handover_moves_state_without_loss():
@@ -307,10 +309,8 @@ def test_mobility_off_run_is_bit_identical():
     scatterpp run replays the same digest whether or not the mobility
     package was ever imported/exercised in the process (it was, by the
     tests above)."""
-    a = run_scatterpp_experiment(PLACEMENT, num_clients=1,
-                                 duration_s=2.0, seed=0)
-    b = run_scatterpp_experiment(PLACEMENT, num_clients=1,
-                                 duration_s=2.0, seed=0)
+    spec = ExperimentSpec(PLACEMENT, 1, 2.0, pipeline="scatterpp")
+    a, b = run(spec), run(spec)
     assert a.trace_digest == b.trace_digest
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments.runner import (
-    run_ramp_experiment,
-    run_scatter_experiment,
-    run_scatterpp_experiment,
+    ExperimentSpec,
+    RampOptions,
+    ScatterppOptions,
+    run,
 )
 from repro.scatter.config import baseline_configs, uniform_config
 from repro.scatterpp.pipeline import scatterpp_pipeline_kwargs
@@ -14,26 +15,26 @@ from repro.scatterpp.services import PACKED_WIRE_SIZES
 
 @pytest.fixture(scope="module")
 def pp_single():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=1, duration_s=10.0)
+    return run(ExperimentSpec(baseline_configs()["C1"], clients=1,
+                              duration_s=10.0, pipeline="scatterpp"))
 
 
 @pytest.fixture(scope="module")
 def pp_four():
-    return run_scatterpp_experiment(baseline_configs()["C1"],
-                                    num_clients=4, duration_s=10.0)
+    return run(ExperimentSpec(baseline_configs()["C1"], clients=4,
+                              duration_s=10.0, pipeline="scatterpp"))
 
 
 @pytest.fixture(scope="module")
 def scatter_four():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=4, duration_s=10.0)
+    return run(ExperimentSpec(baseline_configs()["C1"], clients=4,
+                              duration_s=10.0))
 
 
 @pytest.fixture(scope="module")
 def scatter_single():
-    return run_scatter_experiment(baseline_configs()["C1"],
-                                  num_clients=1, duration_s=10.0)
+    return run(ExperimentSpec(baseline_configs()["C1"], clients=1,
+                              duration_s=10.0))
 
 
 def test_packed_frames_grow_to_480kb():
@@ -94,12 +95,13 @@ def test_analytics_present_and_sampled(pp_four):
 
 
 def test_threshold_controls_drops():
-    strict = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        threshold_s=0.020)
-    lax = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        threshold_s=0.500)
+    def with_threshold(threshold_s):
+        return run(ExperimentSpec(
+            baseline_configs()["C1"], 4, 10.0, pipeline="scatterpp",
+            scatterpp=ScatterppOptions(threshold_s=threshold_s)))
+
+    strict = with_threshold(0.020)
+    lax = with_threshold(0.500)
 
     def stale_drops(result):
         return sum(i.sidecar.stats.dropped_stale
@@ -115,16 +117,17 @@ def test_threshold_validation():
 
 
 def test_ablation_stateless_only_beats_scatter(scatter_four):
-    stateless_only = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        with_sidecars=False)
+    stateless_only = run(ExperimentSpec(
+        baseline_configs()["C1"], 4, 10.0, pipeline="scatterpp",
+        scatterpp=ScatterppOptions(with_sidecars=False)))
     assert stateless_only.mean_fps() > scatter_four.mean_fps()
 
 
 def test_ablation_no_components_reduces_to_scatter(scatter_four):
-    plain = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=4, duration_s=10.0,
-        stateless_sift=False, with_sidecars=False)
+    plain = run(ExperimentSpec(
+        baseline_configs()["C1"], 4, 10.0, pipeline="scatterpp",
+        scatterpp=ScatterppOptions(stateless_sift=False,
+                                   with_sidecars=False)))
     assert plain.mean_fps() == pytest.approx(scatter_four.mean_fps(),
                                              rel=0.25)
     # The fetch machinery is back.
@@ -132,9 +135,14 @@ def test_ablation_no_components_reduces_to_scatter(scatter_four):
     assert hasattr(matching, "fetch_timeouts")
 
 
+def ramp_spec(max_clients, stage_s):
+    return ExperimentSpec(uniform_config("E1", "e1"), max_clients,
+                          max_clients * stage_s, pipeline="scatterpp",
+                          ramp=RampOptions(stage_s=stage_s))
+
+
 def test_ramp_experiment_staged_load():
-    result = run_ramp_experiment(uniform_config("E1", "e1"),
-                                 max_clients=3, stage_s=5.0)
+    result = run(ramp_spec(3, 5.0))
     assert result.duration_s == pytest.approx(15.0)
     # Client 0 streamed the whole run; client 2 only the last stage.
     assert result.clients[0].frames_sent > \
@@ -148,10 +156,12 @@ def test_ramp_experiment_staged_load():
 
 def test_ramp_validation():
     with pytest.raises(ValueError):
-        run_ramp_experiment(uniform_config("E1", "e1"), max_clients=0)
+        ramp_spec(0, 5.0)
     with pytest.raises(ValueError):
-        run_ramp_experiment(uniform_config("E1", "e1"), max_clients=1,
-                            stage_s=0.0)
+        ramp_spec(1, 0.0)
+    with pytest.raises(ValueError, match="stage_s × clients"):
+        ExperimentSpec(uniform_config("E1", "e1"), 2, 5.0,
+                       pipeline="scatterpp", ramp=RampOptions(stage_s=5.0))
 
 
 def test_admission_rejections_surface_in_analytics():
@@ -168,9 +178,9 @@ def test_admission_rejections_surface_in_analytics():
         admission="token-bucket", admission_rate_fps=10.0,
         admission_burst=2, batch_max=1, credits=False,
         client_pacing=False)
-    result = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=2, duration_s=8.0,
-        flow=flow)
+    result = run(ExperimentSpec(baseline_configs()["C1"], clients=2,
+                                duration_s=8.0, flow=flow,
+                                pipeline="scatterpp"))
     primary = result.pipeline.instances("primary")[0]
     stats = primary.sidecar.stats
     assert stats.rejected > 0

@@ -1065,13 +1065,13 @@ def test_run_leaves_a_caller_disabled_gc_alone():
 
 
 def test_scatterpp_cell_fingerprint_independent_of_caller_gc_state():
-    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.experiments.runner import ExperimentSpec, run
     from repro.scatter.config import baseline_configs
 
     def cell():
-        return run_scatterpp_experiment(
-            baseline_configs()["C1"], num_clients=2, duration_s=3.0,
-            seed=0).trace_digest
+        return run(ExperimentSpec(baseline_configs()["C1"], clients=2,
+                                  duration_s=3.0, seed=0,
+                                  pipeline="scatterpp")).trace_digest
 
     with_gc = cell()
     gc.disable()
@@ -1098,8 +1098,8 @@ from repro.scatter.config import baseline_configs
 import repro.experiments.runner as runner
 runner.Simulator = \
     lambda digest=True, profile=False: reference.Simulator(digest=digest)
-result = runner.run_scatterpp_experiment(
-    baseline_configs()["C1"], num_clients=2, duration_s=3.0, seed=0)
+result = runner.run(runner.ExperimentSpec(
+    baseline_configs()["C1"], 2, 3.0, seed=0, pipeline="scatterpp"))
 sim = result.testbed.sim
 print(json.dumps({"kernel": type(sim).__module__,
                   "events": sim.digest.events,
@@ -1108,7 +1108,7 @@ print(json.dumps({"kernel": type(sim).__module__,
 
 
 def test_reference_kernel_swapped_into_the_stack_gives_identical_digest():
-    from repro.experiments.runner import run_scatterpp_experiment
+    from repro.experiments.runner import ExperimentSpec, run
     from repro.scatter.config import baseline_configs
 
     env = dict(os.environ)
@@ -1118,8 +1118,8 @@ def test_reference_kernel_swapped_into_the_stack_gives_identical_digest():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     witness = json.loads(proc.stdout.strip().splitlines()[-1])
-    result = run_scatterpp_experiment(
-        baseline_configs()["C1"], num_clients=2, duration_s=3.0, seed=0)
+    result = run(ExperimentSpec(baseline_configs()["C1"], clients=2,
+                                duration_s=3.0, seed=0, pipeline="scatterpp"))
     assert witness["kernel"] == "repro.sim.reference"
     assert witness["events"] == result.testbed.sim.digest.events > 0
     assert witness["digest"] == result.trace_digest
