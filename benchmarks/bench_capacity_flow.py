@@ -10,7 +10,7 @@ never come from a run that silently lost frames.
 
 Results land in the committed repo-root ``BENCH_capacity_flow.json``.
 
-``CAPACITY_FLOW_SMOKE=1`` shrinks the probe duration and ceiling for
+``BENCH_SMOKE=1`` shrinks the probe duration and ceiling for
 CI; the smoke run still exercises both arms and the conservation
 audit, but only asserts the gain is not a regression (>= 1.0).
 """
@@ -18,14 +18,11 @@ audit, but only asserts the gain is not a regression (>= 1.0).
 from __future__ import annotations
 
 import json
-import os
 
 from repro.experiments.capacity import run_capacity_comparison
 from repro.scatter.config import baseline_configs
 
-from benchmarks.conftest import save_bench_json
-
-SMOKE = os.environ.get("CAPACITY_FLOW_SMOKE") == "1"
+from benchmarks.conftest import SMOKE, save_bench_json
 
 PLACEMENT = "C12"
 DURATION_S = 4.0 if SMOKE else 8.0

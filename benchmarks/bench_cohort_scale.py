@@ -22,14 +22,13 @@ Gates:
 * and the tracers keep reporting real per-frame QoS.
 
 Results land in the committed repo-root ``BENCH_cohort_scale.json``.
-``COHORT_SMOKE=1`` shrinks duration and population for CI; the smoke
+``BENCH_SMOKE=1`` shrinks duration and population for CI; the smoke
 run still holds every gate (the 100x floor is scale-free).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from dataclasses import replace
@@ -38,9 +37,7 @@ from repro.experiments.runner import CohortOptions, ExperimentSpec, run
 from repro.flow import default_flow_config
 from repro.scatter.config import baseline_configs
 
-from benchmarks.conftest import save_bench_json
-
-SMOKE = os.environ.get("COHORT_SMOKE") == "1"
+from benchmarks.conftest import SMOKE, save_bench_json
 
 DURATION_S = 2.0 if SMOKE else 10.0
 MICRO_CLIENTS = 2 if SMOKE else 3

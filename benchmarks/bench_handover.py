@@ -18,7 +18,7 @@ sidecar ledgers — and the gate is zero violations.
 
 Results land in the committed repo-root ``BENCH_handover.json``.
 
-``HANDOVER_SMOKE=1`` shrinks seeds/duration/sweep size for CI; the
+``BENCH_SMOKE=1`` shrinks seeds/duration/sweep size for CI; the
 smoke run still exercises both arms, the crash-racing-transfer path,
 and every auditor.
 """
@@ -26,7 +26,6 @@ and every auditor.
 from __future__ import annotations
 
 import json
-import os
 
 from repro.chaos import FaultPlan, InstanceCrash
 from repro.experiments.reporting import format_table
@@ -45,9 +44,7 @@ from repro.flow import (
 )
 from repro.scatter.config import baseline_configs
 
-from benchmarks.conftest import save_bench_json
-
-SMOKE = os.environ.get("HANDOVER_SMOKE") == "1"
+from benchmarks.conftest import SMOKE, save_bench_json
 
 PLACEMENT = "C1"
 NUM_CLIENTS = 2

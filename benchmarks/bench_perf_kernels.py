@@ -17,13 +17,12 @@ frames/sec ratio is a pure like-for-like speedup.  Results land in
 the committed repo-root ``BENCH_perf_kernels.json`` together with the
 cached run's per-stage profiler attribution.
 
-Set ``PERF_KERNELS_SMOKE=1`` to shrink the workload (CI).
+Set ``BENCH_SMOKE=1`` to shrink the workload (CI).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
@@ -41,9 +40,8 @@ from repro.vision.reference import (
 from repro.vision.sift import SiftExtractor
 from repro.vision.video import SyntheticVideo
 
-from benchmarks.conftest import save_bench_json
+from benchmarks.conftest import SMOKE, save_bench_json
 
-SMOKE = os.environ.get("PERF_KERNELS_SMOKE") == "1"
 #: Distinct frames per loop, and how often each repeats (≈ clients).
 DISTINCT_FRAMES = 2 if SMOKE else 5
 REPEATS = 3 if SMOKE else 6

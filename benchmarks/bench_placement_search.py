@@ -16,7 +16,7 @@ gates on the headline claim:
 
 Results land in the committed repo-root ``BENCH_placement_search.json``.
 
-``OPTIMIZE_SMOKE=1`` shrinks the ladder/duration/budget for CI; the
+``BENCH_SMOKE=1`` shrinks the ladder/duration/budget for CI; the
 smoke run keeps the determinism and cache gates but only asserts the
 search does not regress below the best static (>=).
 """
@@ -24,15 +24,12 @@ search does not regress below the best static (>=).
 from __future__ import annotations
 
 import json
-import os
 
 from repro.orchestra.optimize import (CampaignOracle, OptimizeConfig,
                                       SearchSpace, run_search,
                                       static_seed_genomes)
 
-from benchmarks.conftest import save_bench_json
-
-SMOKE = os.environ.get("OPTIMIZE_SMOKE") == "1"
+from benchmarks.conftest import SMOKE, save_bench_json
 
 LADDER = (1, 2, 3) if SMOKE else (1, 2, 3, 4, 5, 6)
 DURATION_S = 3.0 if SMOKE else 4.0

@@ -11,10 +11,8 @@ crash is detected by heartbeats and repaired within a few detector
 windows; availability stays above the raw pipeline success rate
 because degraded (locally tracked) frames fill part of each outage.
 
-Set ``RESILIENCE_SMOKE=1`` to run a single short intensity (CI).
+Set ``BENCH_SMOKE=1`` to run a single short intensity (CI).
 """
-
-import os
 
 import numpy as np
 
@@ -23,8 +21,9 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import ChaosOptions, ExperimentSpec, run
 from repro.scatter.config import baseline_configs
 
+from benchmarks.conftest import SMOKE
+
 DURATION_S = 40.0
-SMOKE = os.environ.get("RESILIENCE_SMOKE") == "1"
 CRASH_COUNTS = [0, 1] if SMOKE else [0, 1, 2, 4]
 #: Services worth crashing (every pipeline stage).
 CRASH_SERVICES = ("primary", "sift", "encoding", "lsh", "matching")

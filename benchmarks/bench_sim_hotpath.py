@@ -23,7 +23,7 @@ speedup claimed over a divergent trajectory would be meaningless.
 
 Results land in the committed repo-root ``BENCH_sim_hotpath.json``.
 
-``SIM_HOTPATH_SMOKE=1`` shrinks both arms for CI; the smoke run still
+``BENCH_SMOKE=1`` shrinks both arms for CI; the smoke run still
 exercises both kernels and the fingerprint-equality assertions, but
 only gates against gross regressions (the wall-clock ratios on a
 seconds-long CI slice are too noisy to hold the full bars).
@@ -41,9 +41,7 @@ import time
 from repro.sim import kernel
 from repro.sim import reference
 
-from benchmarks.conftest import save_bench_json
-
-SMOKE = os.environ.get("SIM_HOTPATH_SMOKE") == "1"
+from benchmarks.conftest import SMOKE, save_bench_json
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 

@@ -15,19 +15,25 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: ``BENCH_SMOKE=1`` shrinks every benchmark that has a full and a
+#: CI-sized variant to its CI size.
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
+
 #: Committed benchmark headline numbers live at the repo root as
-#: ``BENCH_<name>.json`` (promoted from the gitignored
-#: ``benchmarks/results/`` in PR 10) so the cross-PR perf trajectory
-#: is versioned alongside the code that earned it.
-#: ``benchmarks/summarize.py`` renders the table.
+#: ``BENCH_<name>.json`` so the perf trajectory is versioned alongside
+#: the code that earned it; ``benchmarks/summarize.py`` renders the
+#: table.  Smoke runs write to the gitignored ``benchmarks/results/``
+#: instead, so a CI-sized run never overwrites a committed snapshot.
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1]
 
 
 def save_bench_json(name: str, entry) -> pathlib.Path:
-    """Persist one benchmark's headline JSON to the repo root."""
+    """Persist one benchmark's headline JSON (see :data:`BENCH_DIR`)."""
     import json
 
-    path = BENCH_DIR / f"BENCH_{name}.json"
+    directory = RESULTS_DIR if SMOKE else BENCH_DIR
+    directory.mkdir(exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
     return path
 

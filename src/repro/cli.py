@@ -356,7 +356,6 @@ def cmd_mobility(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import DEFAULT_CACHE_DIR
     from repro.experiments.campaign import (
         Campaign,
         render_report,
@@ -364,15 +363,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     from repro.experiments.parallel import effective_workers
 
-    if args.cache and args.no_cache:
-        raise SystemExit("--cache and --no-cache are contradictory")
-    cache_enabled = (args.cache or args.cache_dir is not None) \
-        and not args.no_cache
-    cache_dir = None
-    if cache_enabled:
-        cache_dir = (args.cache_dir if args.cache_dir is not None
-                     else DEFAULT_CACHE_DIR)
-        print(f"  ... cell cache enabled under {cache_dir}/ "
+    if args.cache_dir is not None:
+        print(f"  ... cell cache enabled under {args.cache_dir}/ "
               "(content-addressed; only changed cells recompute)")
     campaign = Campaign(
         name=args.name,
@@ -387,18 +379,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"{effective_workers(args.workers)} worker process(es)")
     report = run_campaign(
         campaign, store_dir=args.store, workers=args.workers,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         progress=lambda line: print(f"  ... {line}"),
         task_progress=(lambda line: print(f"      {line}"))
         if args.verbose else None)
     print()
     print(render_report(report))
-    if report.cache is not None:
-        cache = report.cache
-        print(f"\ncell cache: hits={cache['hits']} "
-              f"misses={cache['misses']} stored={cache['stored']} "
-              f"corrupt={cache['corrupt']} "
-              f"entries={cache['entries']} dir={cache['directory']}")
     if report.failures:
         print(f"\nWARNING: {len(report.failures)} cell(s) failed; "
               f"see the 'failed cells' table above.")
@@ -659,17 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--verbose", action="store_true",
                           help="print per-task progress lines")
     _no_feature_cache_flag(campaign)
-    campaign.add_argument("--cache", action="store_true",
-                          help="enable the content-addressed campaign "
-                               "cell cache: re-runs replay unchanged "
-                               "cells byte-identically and compute "
-                               "only new/changed ones")
-    campaign.add_argument("--no-cache", action="store_true",
-                          help="force the cell cache off (overrides "
-                               "--cache/--cache-dir)")
     campaign.add_argument("--cache-dir", default=None,
-                          help="cell-cache directory (implies --cache; "
-                               "default .repro-cell-cache)")
+                          help="content-addressed cell cache "
+                               "directory: re-runs replay unchanged "
+                               "cells byte-identically and compute "
+                               "only new/changed ones (default: off)")
 
     capacity = sub.add_parser(
         "capacity",

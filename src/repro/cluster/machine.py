@@ -75,9 +75,6 @@ class Machine:
             return 0.0
         return sum(g.meter.utilization() for g in self.gpus) / len(self.gpus)
 
-    def memory_used_gb(self) -> float:
-        return self.memory.in_use_bytes / GB
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gpu = (f"{len(self.gpus)}x{self.gpus[0].architecture.name}"
                if self.gpus else "none")

@@ -50,10 +50,6 @@ from repro.metrics.summary import CacheStats
 
 PathLike = Union[str, pathlib.Path]
 
-#: Default cache directory used by the CLI when ``--cache`` is given
-#: without ``--cache-dir``.
-DEFAULT_CACHE_DIR = ".repro-cell-cache"
-
 #: On-disk entry schema version; bump to orphan all older entries.
 ENTRY_FORMAT = 1
 
@@ -239,25 +235,10 @@ class CampaignCellCache:
                 "size_bytes": stats.size_bytes}
 
 
-def resolve_cell_cache(cache: Union[None, bool, PathLike,
-                                    "CampaignCellCache"],
-                       cache_dir: Optional[PathLike] = None
+def resolve_cell_cache(cache: Union[None, PathLike, "CampaignCellCache"]
                        ) -> Optional["CampaignCellCache"]:
-    """Normalize the ``run_campaign``/CLI cache arguments.
-
-    ``cache`` may be an existing :class:`CampaignCellCache`, ``True``
-    (use ``cache_dir`` or :data:`DEFAULT_CACHE_DIR`), ``False``/
-    ``None`` (disabled unless ``cache_dir`` is given), or a directory
-    path.
-    """
-    if isinstance(cache, CampaignCellCache):
+    """Normalize a cache argument: ``None`` (disabled), an existing
+    :class:`CampaignCellCache`, or a directory path."""
+    if cache is None or isinstance(cache, CampaignCellCache):
         return cache
-    if cache is False:
-        return None
-    if cache is None:
-        return (CampaignCellCache(cache_dir)
-                if cache_dir is not None else None)
-    if cache is True:
-        return CampaignCellCache(cache_dir if cache_dir is not None
-                                 else DEFAULT_CACHE_DIR)
     return CampaignCellCache(cache)

@@ -21,7 +21,7 @@ command line; programmatically::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import CampaignCellCache, resolve_cell_cache
 from repro.experiments.parallel import (
@@ -249,7 +249,7 @@ def run_campaign(campaign: Campaign, *,
                  progress: Optional[Callable[[str], None]] = None,
                  workers: Optional[int] = None,
                  task_progress: Optional[Callable[[str], None]] = None,
-                 cache: Union[None, bool, str, CampaignCellCache] = None,
+                 cache: Optional[CampaignCellCache] = None,
                  cache_dir: Optional[str] = None
                  ) -> CampaignReport:
     """Execute every cell of the grid (replicated across seeds).
@@ -262,13 +262,15 @@ def run_campaign(campaign: Campaign, *,
     kills its worker — is recorded in ``report.failures`` and the
     campaign continues.
 
-    ``cache``/``cache_dir`` engage the content-addressed cell cache
+    ``cache`` (an open :class:`CampaignCellCache`) or ``cache_dir`` (a
+    directory) engages the content-addressed cell cache
     (:mod:`repro.experiments.cache`): re-running a campaign computes
     only tasks whose (config, code) key is new and replays the rest
     byte-identically; ``report.cache`` carries the hit/miss stats.
     """
     store = ResultStore(store_dir) if store_dir else None
-    cell_cache = resolve_cell_cache(cache, cache_dir)
+    cell_cache = resolve_cell_cache(cache if cache is not None
+                                    else cache_dir)
     report = CampaignReport(campaign=campaign)
     announced = set()
 
@@ -352,8 +354,8 @@ def render_report(report: CampaignReport,
     if report.cache is not None:
         cache = report.cache
         blocks.append(
-            "\n## cell cache\n"
-            f"hits={cache['hits']} misses={cache['misses']} "
-            f"stored={cache['stored']} corrupt={cache['corrupt']} "
+            f"\ncell cache: hits={cache['hits']} "
+            f"misses={cache['misses']} stored={cache['stored']} "
+            f"corrupt={cache['corrupt']} "
             f"entries={cache['entries']} dir={cache['directory']}")
     return "\n".join(blocks)

@@ -16,9 +16,8 @@ from repro.metrics.profiling import (StageProfiler, StageRecord,
                                      default_profiler)
 from repro.metrics.qos import ClientStats
 from repro.metrics.sketch import PercentileSketch, merge_sketches
-from repro.metrics.summary import (CacheStats, SampleReservoir,
-                                   Summary, safe_percentile,
-                                   summarize)
+from repro.metrics.summary import (CacheStats, Summary,
+                                   safe_percentile, summarize)
 
 __all__ = [
     "CacheStats",
@@ -30,7 +29,6 @@ __all__ = [
     "PercentileSketch",
     "PowerModel",
     "ResilienceReport",
-    "SampleReservoir",
     "StageProfiler",
     "StageRecord",
     "Summary",

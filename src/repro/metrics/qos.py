@@ -163,12 +163,6 @@ class ClientStats:
             return 0.0
         return self.frames_received / self.frames_sent
 
-    def paced_rate(self) -> float:
-        """Fraction of frames withheld by flow-control pacing."""
-        if not self.sent:
-            return 0.0
-        return self.frames_paced / self.frames_sent
-
     def degraded_rate(self) -> float:
         if not self.sent:
             return 0.0

@@ -3,61 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
-
-
-class SampleReservoir(list):
-    """A bounded sample list (Vitter's algorithm R).
-
-    Long chaos/soak runs append latency and queue-wait samples for the
-    whole run; an unbounded list grows memory linearly with virtual
-    time.  The reservoir keeps a uniform subsample of at most
-    ``maxlen`` values while :attr:`total` counts every offered sample,
-    so means/percentiles stay unbiased and counters stay exact.
-    Replacement draws come from a private seeded generator, keeping
-    runs deterministic.
-    """
-
-    def __init__(self, maxlen: int = 65536, seed: int = 0x5EED):
-        if maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1, got {maxlen}")
-        super().__init__()
-        self.maxlen = maxlen
-        self.total = 0
-        self._rng = np.random.default_rng(seed)
-
-    def append(self, value: float) -> None:
-        self.total += 1
-        if len(self) < self.maxlen:
-            super().append(value)
-            return
-        slot = int(self._rng.integers(0, self.total))
-        if slot < self.maxlen:
-            self[slot] = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.append(value)
-
-    @property
-    def overflowed(self) -> bool:
-        """Whether more samples were offered than the reservoir holds."""
-        return self.total > self.maxlen
-
-    @property
-    def overflow_ratio(self) -> float:
-        """Fraction of offered samples not retained (subsampled away).
-
-        The reservoir analogue of a sketch's collapsed fraction: both
-        surface through :class:`Summary` under the same name, so a
-        report cannot silently change meaning when a reservoir is
-        swapped for a sketch.
-        """
-        if self.total <= self.maxlen:
-            return 0.0
-        return (self.total - len(self)) / self.total
 
 
 @dataclass(frozen=True)
@@ -65,8 +13,7 @@ class Summary:
     """Five-number-ish summary of a sample.
 
     ``overflow_ratio`` reports how much of the sample lost fidelity
-    before summarization: the subsampled fraction of an overflowed
-    :class:`SampleReservoir`, or the collapsed fraction of a
+    before summarization: the collapsed fraction of a
     :class:`~repro.metrics.sketch.PercentileSketch`.  Plain lists
     always report 0.0.
     """
@@ -111,10 +58,10 @@ def summarize(values) -> Summary:
 
     Non-finite samples (NaN/inf placeholders) are excluded so a
     single dropped measurement cannot poison every aggregate.
-    Accepts any iterable of floats, a :class:`SampleReservoir`
-    (overflow surfaces as ``overflow_ratio``), or a
+    Accepts any iterable of floats or a
     :class:`~repro.metrics.sketch.PercentileSketch` (summarized from
-    its buckets; mean and extrema are exact).
+    its buckets; mean and extrema are exact; its collapsed fraction
+    surfaces as ``overflow_ratio``).
     """
     from repro.metrics.sketch import PercentileSketch
 
@@ -131,8 +78,6 @@ def summarize(values) -> Summary:
             maximum=float(values.maximum),
             overflow_ratio=values.overflow_ratio,
         )
-    overflow_ratio = (values.overflow_ratio
-                      if isinstance(values, SampleReservoir) else 0.0)
     data: List[float] = [float(v) for v in values]
     array = np.asarray(data, dtype=float)
     array = array[np.isfinite(array)]
@@ -146,7 +91,6 @@ def summarize(values) -> Summary:
         p95=float(np.percentile(array, 95)),
         minimum=float(array.min()),
         maximum=float(array.max()),
-        overflow_ratio=overflow_ratio,
     )
 
 

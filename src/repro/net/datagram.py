@@ -93,10 +93,6 @@ class DatagramSocket:
         """Waitable firing with the next :class:`Datagram` (FIFO)."""
         return self._queue.get()
 
-    def recv_nowait(self) -> Datagram:
-        """Immediate dequeue; raises :class:`LookupError` when empty."""
-        return self._queue.get_nowait()
-
     @property
     def pending(self) -> int:
         return len(self._queue)

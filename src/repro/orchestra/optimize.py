@@ -207,9 +207,6 @@ class Genome:
             tuple(placement.placements[service])
             for service in PIPELINE_ORDER), scaler=scaler)
 
-    def replica_count(self) -> int:
-        return sum(len(replicas) for replicas in self.machines)
-
     def machines_used(self) -> List[str]:
         names = {m for replicas in self.machines for m in replicas}
         if self.scaler is not None:
@@ -432,12 +429,12 @@ class CampaignOracle:
         self.duration_s = duration_s
         self.seed = seed
         self.workers = workers
-        # Accept a CampaignCellCache, a directory path, or True (same
-        # contract as run_campaign) and hold one resolved instance so
-        # hit/miss counters accumulate across generations.
+        # Accept a CampaignCellCache or a directory path and hold one
+        # resolved instance so hit/miss counters accumulate across
+        # generations.
         from repro.experiments.cache import resolve_cell_cache
 
-        self.cache = resolve_cell_cache(cache, None)
+        self.cache = resolve_cell_cache(cache)
 
     def evaluate(self, specs: Sequence[str]
                  ) -> Tuple[Dict[str, Objectives], List[Dict]]:

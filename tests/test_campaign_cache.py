@@ -253,15 +253,12 @@ def test_put_rejects_non_dict_summaries(cache):
 
 def test_resolve_cell_cache_normalizes_arguments(tmp_path, cache):
     assert resolve_cell_cache(None) is None
-    assert resolve_cell_cache(False, tmp_path / "x") is None
     assert resolve_cell_cache(cache) is cache
-    by_dir = resolve_cell_cache(None, tmp_path / "a")
-    assert isinstance(by_dir, CampaignCellCache)
-    assert by_dir.directory == tmp_path / "a"
-    by_flag = resolve_cell_cache(True, tmp_path / "b")
-    assert by_flag.directory == tmp_path / "b"
-    by_path = resolve_cell_cache(tmp_path / "c")
-    assert by_path.directory == tmp_path / "c"
+    by_path = resolve_cell_cache(tmp_path / "a")
+    assert isinstance(by_path, CampaignCellCache)
+    assert by_path.directory == tmp_path / "a"
+    by_str = resolve_cell_cache(str(tmp_path / "b"))
+    assert by_str.directory == tmp_path / "b"
 
 
 # ----------------------------------------------------------------------

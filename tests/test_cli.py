@@ -185,3 +185,20 @@ def test_campaign_reports_effective_worker_count(monkeypatch, capsys):
     assert expected < requested
     assert (f"running 2 (cell, seed) tasks on {expected} worker "
             "process(es)") in out
+
+
+def test_campaign_prints_cell_cache_stats_once(monkeypatch, capsys,
+                                               tmp_path):
+    def fake_runner(placement, *, num_clients, duration_s, seed):
+        return {"fps": 30.0, "success_rate": 1.0, "e2e_ms": 40.0,
+                "jitter_ms": 1.0, "qoe_mos": 4.0,
+                "trace_digest": f"digest-{placement.name}-s{seed}"}
+
+    monkeypatch.setitem(campaign_mod.RUNNERS, "scatter", fake_runner)
+    assert main(["campaign", "--pipelines", "scatter",
+                 "--placements", "C1", "--clients", "1",
+                 "--duration", "1", "--seeds", "0,1",
+                 "--cache-dir", str(tmp_path / "cells")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("hits=") == 1
+    assert "cell cache: hits=0 misses=2 stored=2 corrupt=0" in out

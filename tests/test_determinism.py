@@ -18,8 +18,9 @@ or process boundary.  This file enforces it three ways:
   ``python tests/golden/regenerate_determinism.py`` and commit the
   diff — reviewers then see that the trajectory changed.
 
-CI runs this module under a ``DETERMINISM_WORKERS`` matrix; locally
-both 1 and 4 workers are exercised.
+By default both 1 and 4 workers are exercised; ``DETERMINISM_WORKERS``
+(a comma-separated list) overrides that, and CI's ``variants`` job
+runs this module once more at 2 workers.
 """
 
 import json

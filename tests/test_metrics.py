@@ -14,7 +14,6 @@ from repro.metrics import (
     safe_percentile,
     summarize,
 )
-from repro.metrics.summary import SampleReservoir
 from repro.sim import Simulator
 
 
@@ -132,17 +131,10 @@ def test_safe_percentile_on_sketch():
                                                           rel=0.03)
 
 
-def test_overflow_ratio_consistent_between_reservoir_and_sketch():
-    """The same overloaded stream reports overflow the same way
-    whether it lands in a bounded reservoir (subsampling) or a
-    bin-capped sketch (bound-collapsing): zero when nothing was
-    dropped, positive and equal to the affected fraction otherwise."""
-    reservoir = SampleReservoir(maxlen=10)
-    reservoir.extend(float(i) for i in range(40))
-    assert reservoir.overflow_ratio == pytest.approx(30 / 40)
-    assert summarize(reservoir).overflow_ratio == \
-        reservoir.overflow_ratio
-
+def test_summary_overflow_ratio_reports_sketch_collapse():
+    """A bin-capped sketch surfaces its collapsed fraction through
+    :class:`Summary`: zero when nothing was collapsed, positive and
+    equal to the affected fraction otherwise."""
     healthy = PercentileSketch()
     healthy.extend(range(1, 41))
     assert healthy.overflow_ratio == 0.0

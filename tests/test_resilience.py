@@ -15,7 +15,6 @@ from repro.cluster.gpu import RTX_2080
 from repro.cluster.machine import GB
 from repro.dsp import FrameRecord, StreamService
 from repro.metrics.qos import ClientStats
-from repro.metrics.summary import SampleReservoir
 from repro.net import Address, Network, ServiceRegistry
 from repro.scatter.resilience import (
     BreakerState,
@@ -175,33 +174,6 @@ def test_fallback_tracker_ignores_rewinds():
     tracker.track(3, video.frame(3).image)
     assert tracker.frames_tracked == 2
     tracker.track(6, video.frame(6).image)  # still advances fine
-
-
-# ----------------------------------------------------------------------
-# SampleReservoir
-# ----------------------------------------------------------------------
-def test_reservoir_exact_below_cap():
-    reservoir = SampleReservoir(maxlen=100)
-    reservoir.extend(range(50))
-    assert list(reservoir) == list(range(50))
-    assert reservoir.total == 50
-    assert not reservoir.overflowed
-
-
-def test_reservoir_bounded_above_cap():
-    reservoir = SampleReservoir(maxlen=64)
-    reservoir.extend(float(i) for i in range(10_000))
-    assert len(reservoir) == 64
-    assert reservoir.total == 10_000
-    assert reservoir.overflowed
-    # Uniform sampling: the kept set spans the stream, not a prefix.
-    assert max(reservoir) > 5_000
-
-
-def test_reservoir_mean_still_computes():
-    reservoir = SampleReservoir(maxlen=32)
-    reservoir.extend([2.0] * 1000)
-    assert float(np.mean(reservoir)) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
