@@ -13,9 +13,12 @@ three ways:
 
 All three produce bit-identical descriptors and encodings (enforced by
 ``tests/test_kernel_equivalence.py``; spot-checked again here), so the
-frames/sec ratio is a pure like-for-like speedup.  Results land in
-the committed repo-root ``BENCH_perf_kernels.json`` together with the
-cached run's per-stage profiler attribution.
+frames/sec ratio is a pure like-for-like speedup.  The three arms run
+interleaved, :data:`PASSES` times, and each reports its best pass.
+Every cached pass gets a fresh cache and profiler, so each one times
+the same cold-then-warm workload.  Results land in the committed
+repo-root ``BENCH_perf_kernels.json`` together with the best cached
+pass's per-stage profiler attribution.
 
 Set ``BENCH_SMOKE=1`` to shrink the workload (CI).
 """
@@ -46,6 +49,8 @@ from benchmarks.conftest import SMOKE, save_bench_json
 DISTINCT_FRAMES = 2 if SMOKE else 5
 REPEATS = 3 if SMOKE else 6
 FRAME_SIZE = (96, 128) if SMOKE else (144, 192)
+#: Interleaved timing passes per arm; each arm keeps its best.
+PASSES = 2 if SMOKE else 5
 
 
 def _workload():
@@ -91,21 +96,37 @@ def test_kernel_throughput(save_result):
         __, descriptors = extractor.detect_and_describe(gray[number])
         return encoder.encode(pca.transform(descriptors))
 
-    profiler = StageProfiler()
-    cached_backend = FrameFeatureExtractor(
-        video, extractor, pca=pca, encoder=encoder,
-        cache=FeatureCache(), profiler=profiler)
+    def plain_pass(fn):
+        return lambda: _timed(fn, frames) + (None,)
 
-    reference_fps, reference_out = _timed(reference_frame, frames)
-    vectorized_fps, vectorized_out = _timed(vectorized_frame, frames)
-    cached_fps, cached_out = _timed(cached_backend.encoding, frames)
+    def cached_pass():
+        """A fresh cache and profiler, so every pass starts cold."""
+        profiler = StageProfiler()
+        backend = FrameFeatureExtractor(
+            video, extractor, pca=pca, encoder=encoder,
+            cache=FeatureCache(), profiler=profiler)
+        return _timed(backend.encoding, frames) + (
+            (backend.stats(), profiler),)
 
-    # The three paths remain bit-identical (the full sweep lives in
-    # tests/test_kernel_equivalence.py).
-    for ref, vec, hit in zip(reference_out, vectorized_out,
-                             cached_out):
-        assert ref.tobytes() == vec.tobytes() == hit.tobytes()
-    stats = cached_backend.stats()
+    passes = {"reference": plain_pass(reference_frame),
+              "vectorized": plain_pass(vectorized_frame),
+              "cached": cached_pass}
+    best = {}
+    expected = None
+    for _ in range(PASSES):
+        for name, timed_pass in passes.items():
+            fps, outputs, detail = timed_pass()
+            # The three paths stay bit-identical on every pass (the
+            # full sweep lives in tests/test_kernel_equivalence.py).
+            encoded = [output.tobytes() for output in outputs]
+            if expected is None:
+                expected = encoded
+            assert encoded == expected, name
+            if name not in best or fps > best[name][0]:
+                best[name] = (fps, detail)
+    reference_fps = best["reference"][0]
+    vectorized_fps = best["vectorized"][0]
+    cached_fps, (stats, profiler) = best["cached"]
     assert stats.hits > 0  # repeats actually hit the cache
 
     entry = {
@@ -114,6 +135,7 @@ def test_kernel_throughput(save_result):
             "repeats": REPEATS,
             "frame_size": list(FRAME_SIZE),
             "smoke": SMOKE,
+            "passes": PASSES,
         },
         "reference_fps": round(reference_fps, 3),
         "vectorized_fps": round(vectorized_fps, 3),

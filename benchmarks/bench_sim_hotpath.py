@@ -115,9 +115,8 @@ def _run_kernel_arms():
 
 #: The end-to-end child.  ``argv``: kernel name, duration, repeats.
 #: The reference child swaps the kernel module in ``sys.modules``
-#: before anything else imports it, then shims the runner's
-#: ``Simulator`` reference (the reference constructor predates the
-#: ``profile`` keyword).
+#: before anything else imports it, so the runner binds the reference
+#: ``Simulator``.
 _E2E_CHILD = r"""
 import json, sys, time
 swap = sys.argv[1] == "reference"
@@ -126,10 +125,6 @@ if swap:
     sys.modules["repro.sim.kernel"] = reference
 from repro.scatter.config import baseline_configs
 import repro.experiments.runner as runner
-if swap:
-    _Ref = reference.Simulator
-    runner.Simulator = \
-        lambda digest=True, profile=False: _Ref(digest=digest)
 duration = float(sys.argv[2])
 placement = baseline_configs()["C1"]
 started = time.perf_counter()

@@ -26,25 +26,6 @@ from repro.experiments.reporting import (
 from repro.experiments.runner import ExperimentSpec, run
 
 
-def _disable_feature_cache_if_requested(args: argparse.Namespace) -> None:
-    """Honor ``--no-feature-cache`` for this process *and* workers.
-
-    The flag is carried through the environment
-    (:data:`repro.vision.cache.DISABLE_ENV`) so campaign worker
-    processes — which build their own per-process default cache —
-    inherit it.  Results are bit-identical either way; the flag only
-    trades wall-clock time for memory.
-    """
-    if not getattr(args, "no_feature_cache", False):
-        return
-    import os
-
-    from repro.vision.cache import (DISABLE_ENV,
-                                    reset_default_feature_cache)
-    os.environ[DISABLE_ENV] = "1"
-    reset_default_feature_cache()
-
-
 def _print_qos_rows(rows: List[dict]) -> None:
     print(qos_table(rows))
     print()
@@ -366,13 +347,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         print(f"  ... cell cache enabled under {args.cache_dir}/ "
               "(content-addressed; only changed cells recompute)")
-    campaign = Campaign(
-        name=args.name,
-        pipelines=tuple(args.pipelines.split(",")),
-        placements=tuple(args.placements.split(",")),
-        client_counts=tuple(int(n) for n in args.clients.split(",")),
-        duration_s=args.duration,
-        seeds=tuple(int(s) for s in args.seeds.split(",")))
+    try:
+        campaign = Campaign(
+            name=args.name,
+            pipelines=tuple(args.pipelines.split(",")),
+            placements=tuple(args.placements.split(",")),
+            client_counts=args.clients, duration_s=args.duration,
+            seeds=args.seeds)
+    except ValueError as error:
+        raise SystemExit(f"bad campaign: {error}")
     if args.workers:
         tasks = len(campaign.cells) * len(campaign.seeds)
         print(f"  ... running {tasks} (cell, seed) tasks on "
@@ -468,7 +451,7 @@ def _cmd_optimize_search(args: argparse.Namespace) -> int:
 
     from repro.orchestra.optimize import OptimizeConfig, run_search
 
-    ladder = tuple(int(part) for part in args.clients.split(","))
+    ladder = args.clients
     generations = args.generations
     if generations is None:
         # Enough generations to spend the budget at this population.
@@ -538,12 +521,41 @@ def cmd_testbed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _no_feature_cache_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-feature-cache", action="store_true",
-                        help="disable the content-addressed feature "
-                             "cache here and in every worker process "
-                             "(results are bit-identical; only "
-                             "wall-clock time changes)")
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse type: an int no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an int >= {minimum}, got {text}")
+        return value
+
+    return count
+
+
+def _int_list(minimum: Optional[int] = None) -> Callable[[str], tuple]:
+    """argparse type: comma-separated ints, each >= ``minimum``."""
+    def int_list(text: str) -> tuple:
+        try:
+            values = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"want comma-separated ints, got {text!r}")
+        if minimum is not None and min(values) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"every value must be >= {minimum}, got {text}")
+        return values
+
+    return int_list
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float above zero (NaN is refused)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
+    return value
 
 
 def _deployment_flags(parser: argparse.ArgumentParser, *, config: str,
@@ -555,11 +567,10 @@ def _deployment_flags(parser: argparse.ArgumentParser, *, config: str,
                         help="C1..C21|cloud|hybrid, a replica vector "
                              "like 1,2,2,1,2, or an opt: genome spec")
     if clients is not None:
-        parser.add_argument("--clients", type=int, default=clients)
-    parser.add_argument("--duration", type=float, default=duration,
-                        help=duration_help)
+        parser.add_argument("--clients", type=_count(1), default=clients)
+    parser.add_argument("--duration", type=_positive_float,
+                        default=duration, help=duration_help)
     parser.add_argument("--seed", type=int, default=0)
-    _no_feature_cache_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one figure")
     figure.add_argument("name", help="figure id, e.g. fig2")
-    figure.add_argument("--duration", type=float, default=None,
+    figure.add_argument("--duration", type=_positive_float, default=None,
                         help="run (or ramp-stage) seconds per config")
     figure.add_argument("--seed", type=int, default=None)
 
@@ -591,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("always", "token-bucket",
                               "queue-gradient"),
                      help="admission policy (implies --flow)")
-    run.add_argument("--batch-max", type=int, default=None,
+    run.add_argument("--batch-max", type=_count(1), default=None,
                      help="max frames per dispatch batch "
                           "(implies --flow)")
     run.add_argument("--cohort-size", type=int, default=None,
@@ -609,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(with --cohort-size; default constant)")
 
     testbed = sub.add_parser("testbed", help="show the testbed")
-    testbed.add_argument("--clients", type=int, default=4)
+    testbed.add_argument("--clients", type=_count(1), default=4)
 
     mobility = sub.add_parser(
         "mobility",
@@ -632,19 +643,20 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--name", default="campaign")
     campaign.add_argument("--pipelines", default="scatter,scatterpp")
     campaign.add_argument("--placements", default="C1,C2,C12,C21")
-    campaign.add_argument("--clients", default="1,2,3,4")
-    campaign.add_argument("--duration", type=float, default=30.0)
-    campaign.add_argument("--seeds", default="0")
+    campaign.add_argument("--clients", type=_int_list(1),
+                          default=(1, 2, 3, 4))
+    campaign.add_argument("--duration", type=_positive_float,
+                          default=30.0)
+    campaign.add_argument("--seeds", type=_int_list(), default=(0,))
     campaign.add_argument("--store", default=None,
                           help="directory for per-cell JSON summaries")
-    campaign.add_argument("--workers", type=int, default=0,
+    campaign.add_argument("--workers", type=_count(0), default=0,
                           help="run (cell, seed) tasks on N worker "
                                "processes, capped at the CPU count "
                                "(0 = serial); results are "
                                "bit-identical either way")
     campaign.add_argument("--verbose", action="store_true",
                           help="print per-task progress lines")
-    _no_feature_cache_flag(campaign)
     campaign.add_argument("--cache-dir", default=None,
                           help="content-addressed cell cache "
                                "directory: re-runs replay unchanged "
@@ -656,11 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="binary-search max clients meeting the FPS/p95 SLO")
     _deployment_flags(capacity, config="C12", duration=None,
                       duration_help="virtual seconds per probe")
-    capacity.add_argument("--max-clients", type=int, default=None,
+    capacity.add_argument("--max-clients", type=_count(1), default=None,
                           help="probe ceiling for the search")
-    capacity.add_argument("--slo-fps", type=float, default=None,
+    capacity.add_argument("--slo-fps", type=_positive_float, default=None,
                           help="minimum mean per-client FPS")
-    capacity.add_argument("--slo-p95-ms", type=float, default=None,
+    capacity.add_argument("--slo-p95-ms", type=_positive_float, default=None,
                           help="maximum p95 E2E latency (ms)")
     capacity.add_argument("--flow", action="store_true",
                           help="probe with the flow substrate on")
@@ -677,9 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--objective",
                           choices=("throughput", "latency", "energy"),
                           default="throughput")
-    optimize.add_argument("--top", type=int, default=8,
+    optimize.add_argument("--top", type=_count(1), default=8,
                           help="how many candidates to print")
-    optimize.add_argument("--budget", type=int, default=None,
+    optimize.add_argument("--budget", type=_count(1), default=None,
                           help="genome evaluation budget: run the "
                                "multi-objective search against the "
                                "simulator instead of the analytic "
@@ -687,16 +699,18 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--seed", type=int, default=0,
                           help="search seed (same seed = bit-identical "
                                "Pareto front)")
-    optimize.add_argument("--population", type=int, default=8,
+    optimize.add_argument("--population", type=_count(1), default=8,
                           help="genomes per generation")
-    optimize.add_argument("--generations", type=int, default=None,
+    optimize.add_argument("--generations", type=_count(1), default=None,
                           help="generations (default: sized to spend "
                                "the budget)")
-    optimize.add_argument("--clients", default="1,2,3,4",
+    optimize.add_argument("--clients", type=_int_list(1),
+                          default=(1, 2, 3, 4),
                           help="capacity probe ladder, e.g. 1,2,3,4")
-    optimize.add_argument("--duration", type=float, default=4.0,
+    optimize.add_argument("--duration", type=_positive_float,
+                          default=4.0,
                           help="virtual seconds per oracle cell")
-    optimize.add_argument("--workers", type=int, default=0,
+    optimize.add_argument("--workers", type=_count(0), default=0,
                           help="campaign workers for oracle cells")
     optimize.add_argument("--cache-dir", default=None,
                           help="cell cache directory (revisited "
@@ -710,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _disable_feature_cache_if_requested(args)
     handlers: Dict[str, Callable] = {
         "figures": cmd_figures,
         "figure": cmd_figure,

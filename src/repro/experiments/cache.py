@@ -117,12 +117,10 @@ class CampaignCellCache:
     """
 
     def __init__(self, directory: PathLike, *,
-                 code_root: Optional[PathLike] = None,
-                 enabled: bool = True):
+                 code_root: Optional[PathLike] = None):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.code_root = code_root
-        self.enabled = enabled
         self._hits = 0
         self._misses = 0
         self._insertions = 0
@@ -146,9 +144,6 @@ class CampaignCellCache:
         miss: it is counted, unlinked best-effort, and recomputed —
         never an exception and never a partial summary.
         """
-        if not self.enabled:
-            self._misses += 1
-            return None
         path = self._path(self.key(task))
         try:
             raw = path.read_text()
@@ -172,7 +167,7 @@ class CampaignCellCache:
         self._hits += 1
         return entry["summary"]
 
-    def put(self, task, summary: Dict) -> Optional[pathlib.Path]:
+    def put(self, task, summary: Dict) -> pathlib.Path:
         """Admit one *clean* cell summary (atomic write; returns path).
 
         Callers are responsible for the no-poisoning policy: only
@@ -180,8 +175,6 @@ class CampaignCellCache:
         offered.  Serialization failures propagate loudly — a summary
         that cannot round-trip through JSON must not be half-cached.
         """
-        if not self.enabled:
-            return None
         if not isinstance(summary, dict):
             raise TypeError(
                 f"cell summaries are dicts, got {type(summary).__name__}")

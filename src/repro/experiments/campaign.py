@@ -166,6 +166,9 @@ class Campaign:
         if not self.placements or not self.client_counts:
             raise ValueError("placements and client_counts must be "
                              "non-empty")
+        if min(self.client_counts) < 1:
+            raise ValueError(f"client counts must be >= 1, got "
+                             f"{self.client_counts}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not self.seeds:

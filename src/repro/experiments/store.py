@@ -63,12 +63,6 @@ def summarize_result(result) -> Dict:
         "gpu_util": result.machine_gpu_util(),
         "drops": result.drop_counts(),
         "trace_digest": getattr(result, "trace_digest", None),
-        # Wall-clock observability only: cache hit/miss deltas and
-        # kernel stage timings never feed back into simulated time,
-        # so they ride along without touching the determinism
-        # contract (which compares metrics and digests, not these).
-        "feature_cache": getattr(result, "feature_cache", None),
-        "kernel_profile": getattr(result, "kernel_profile", None),
         # Flow-control ledgers (admission/batching/credits counters);
         # None for every run without a flow config.  Carried in the
         # summary so conservation invariants are checkable across the

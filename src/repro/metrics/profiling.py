@@ -1,4 +1,4 @@
-"""Wall-time profilers: vision-kernel stages and kernel event kinds.
+"""Wall-time profiler for the vision-kernel stages.
 
 The simulator's *virtual* time is calibrated from the paper's tables
 and never depends on how fast the host machine runs; the *real* time
@@ -7,24 +7,19 @@ spent computing is what the perf work optimizes.
 stages (``sift.detect``, ``fisher.encode``, ``lsh.query``, ...) so
 speedups are measured per kernel instead of asserted, and so a
 regression in one stage cannot hide behind an improvement in another.
-:class:`EventProfile` does the same for the event loop itself,
-attributing callback wall time to event kinds (``Process._resume``,
-``Timeout._expire``, ...) when ``Simulator(profile=True)`` asks for
-it.
 
 Design constraints:
 
 * **Deterministic accounting** — counters are plain dicts keyed by
   stage name; two runs of the same workload produce the same call
   counts (durations naturally vary with the host).  Snapshots/deltas
-  mirror :class:`repro.metrics.summary.CacheStats` so the experiment
-  runner can scope measurements per cell.
+  mirror :class:`repro.metrics.summary.CacheStats` so a caller can
+  scope measurements to one piece of work.
 * **Near-zero cost when disabled** — the ``stage`` context manager
   short-circuits before touching the clock, so production campaigns
   can leave profiler hooks in place.
-* **No global mutable surprises** — a module-level default profiler
-  exists for convenience (CLI, benchmarks), but every hook accepts an
-  explicit profiler so tests can isolate their measurements.
+* **No global mutable state** — every hook takes an explicit
+  profiler, so measurements never leak between callers.
 """
 
 from __future__ import annotations
@@ -126,78 +121,3 @@ class StageProfiler:
                        "total_ms": record.total_ms,
                        "mean_ms": record.mean_ms}
                 for name, record in self.snapshot().items()}
-
-
-class EventProfile:
-    """Per-event-kind counts and wall time from the simulator loop.
-
-    Opt-in via ``Simulator(profile=True)``: the kernel's profiled loop
-    wraps every callback in a ``perf_counter_ns`` pair and attributes
-    the elapsed time to the event's *kind* (the callback's qualified
-    name — the same label the trace digest hashes).  The result says
-    where campaign wall-clock actually goes — ``Process._resume`` vs
-    ``Signal.fire`` vs a service's delivery handler — so the next
-    kernel optimization is measured, not guessed.
-
-    Profiling is purely observational: it schedules no events, draws
-    no RNG and never touches the digest, so fingerprints with the
-    profiler on are byte-identical to fingerprints with it off
-    (asserted by ``tests/test_sim_kernel.py``).  Counts are exact and
-    deterministic; durations naturally vary with the host.
-    """
-
-    __slots__ = ("_calls", "_total_ns", "events")
-
-    def __init__(self) -> None:
-        self._calls: Dict[str, int] = {}
-        self._total_ns: Dict[str, int] = {}
-        self.events = 0
-
-    def record(self, kind: str, elapsed_ns: int) -> None:
-        """Attribute one executed event's wall time to ``kind``."""
-        calls = self._calls
-        calls[kind] = calls.get(kind, 0) + 1
-        total = self._total_ns
-        total[kind] = total.get(kind, 0) + elapsed_ns
-        self.events += 1
-
-    @property
-    def total_ms(self) -> float:
-        """Wall time spent inside event callbacks, in milliseconds."""
-        return sum(self._total_ns.values()) / 1e6
-
-    def snapshot(self) -> Dict[str, StageRecord]:
-        """Immutable per-kind records, sorted by name."""
-        return {kind: StageRecord(calls=self._calls[kind],
-                                  total_ns=self._total_ns[kind])
-                for kind in sorted(self._calls)}
-
-    def top(self, n: int = 10) -> Dict[str, StageRecord]:
-        """The ``n`` costliest kinds by accumulated wall time."""
-        ranked = sorted(self._calls,
-                        key=lambda kind: (-self._total_ns[kind], kind))
-        return {kind: StageRecord(calls=self._calls[kind],
-                                  total_ns=self._total_ns[kind])
-                for kind in ranked[:n]}
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view for ``ExperimentResult.event_profile``."""
-        total_ns = sum(self._total_ns.values())
-        kinds = {}
-        for kind, record in self.snapshot().items():
-            share = (record.total_ns / total_ns) if total_ns else 0.0
-            kinds[kind] = {"calls": record.calls,
-                           "total_ms": record.total_ms,
-                           "mean_ms": record.mean_ms,
-                           "share": share}
-        return {"events": self.events, "total_ms": total_ns / 1e6,
-                "kinds": kinds}
-
-
-#: Shared default used by the CLI and benchmarks; tests should build
-#: their own :class:`StageProfiler` for isolation.
-DEFAULT_PROFILER = StageProfiler()
-
-
-def default_profiler() -> StageProfiler:
-    return DEFAULT_PROFILER

@@ -119,35 +119,6 @@ class TraceDigest:
         if len(pending) >= _FLUSH_ENTRIES:
             self._flush()
 
-    def record_event(self, when: float, seq: int,
-                     callback: Callable[..., None]) -> None:
-        """:meth:`record` with the kind derived from ``callback``.
-
-        Equivalent to ``record(when, seq, _event_kind(callback))`` but
-        memoized by function object for bound methods.  The simulator's
-        digested loop inlines this body — keep the two in sync.
-        """
-        if type(callback) is MethodType:
-            func = callback.__func__
-            kind_bytes = self._func_kinds.get(func)
-            if kind_bytes is None:
-                kind_bytes = _event_kind(func).encode("utf-8", "replace")
-                self._func_kinds[func] = kind_bytes
-        else:
-            kind = getattr(callback, "__qualname__", None)
-            if kind is None:
-                kind = type(callback).__qualname__
-            kind_bytes = self._name_kinds.get(kind)
-            if kind_bytes is None:
-                kind_bytes = kind.encode("utf-8", "replace")
-                self._name_kinds[kind] = kind_bytes
-        pending = self._pending
-        pending.append(_PACK_EVENT(when, seq))
-        pending.append(kind_bytes)
-        self.events += 1
-        if len(pending) >= _FLUSH_ENTRIES:
-            self._flush()
-
     def _flush(self) -> None:
         if self._pending:
             self._hash.update(b"".join(self._pending))
@@ -523,10 +494,9 @@ class Simulator:
     """Owns virtual time, the timer heap and the zero-delay lane."""
 
     __slots__ = ("_heap", "_ready", "_now", "_seq", "_running",
-                 "digest", "profile", "_kind_names")
+                 "digest")
 
-    def __init__(self, digest: bool = True,
-                 profile: bool = False) -> None:
+    def __init__(self) -> None:
         #: Min-heap of pending timers, ``(when, seq, callback, args)``.
         self._heap: List[tuple] = []
         #: Zero-delay fast lane: events due at the current instant, in
@@ -536,36 +506,22 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._running = False
-        #: Running trace fingerprint; ``None`` when disabled.
-        self.digest: Optional[TraceDigest] = \
-            TraceDigest() if digest else None
-        #: Opt-in per-event-kind wall-time profile; ``None`` (the
-        #: default) keeps the loop free of clock reads.  Purely
-        #: observational: profiling schedules no events and draws no
-        #: RNG, so the trace digest is byte-identical either way.
-        if profile:
-            from repro.metrics.profiling import EventProfile
-
-            self.profile: Optional["EventProfile"] = EventProfile()
-        else:
-            self.profile = None
-        #: callback-function -> kind-string memo for the profiler.
-        self._kind_names: Dict[Any, str] = {}
+        #: Running trace fingerprint of every executed event.
+        self.digest = TraceDigest()
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
 
-    def fingerprint(self) -> Optional[str]:
+    def fingerprint(self) -> str:
         """Hex trace digest of every event executed so far.
 
         Identical fingerprints mean identical event trajectories —
         the determinism contract checked by
-        ``tests/test_determinism.py``.  ``None`` when the digest was
-        disabled at construction.
+        ``tests/test_determinism.py``.
         """
-        return self.digest.hexdigest() if self.digest else None
+        return self.digest.hexdigest()
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> None:
@@ -642,77 +598,34 @@ class Simulator:
         if until is not None and not self._now <= until:
             raise SimulationError(
                 f"run(until={until!r}) is before now={self._now}")
-        self._running = True
-        gc_paused = gc.isenabled()
-        if gc_paused:
-            gc.disable()
-        try:
-            if self.profile is not None:
-                self._run_profiled(until)
-            elif self.digest is not None:
-                self._run_digested(until)
-            else:
-                self._run_fast(until)
-        finally:
-            self._running = False
-            if gc_paused:
-                gc.enable()
-        return self._now
-
-    # The three loops are structurally identical; they are kept
-    # separate so the common configurations pay for exactly the
-    # instrumentation they asked for — the digest-off loop reads no
-    # digest, the profiler-off loops read no clock.  Each merges the
-    # heap with the zero-delay ready lane by head comparison (seq is
-    # globally unique, so comparisons never tie past the first two
-    # fields).  Ready events are due now, hence never past ``until``;
-    # only the heap head needs the stop check, made before popping.
-
-    def _run_fast(self, until: Optional[float]) -> None:
-        heap = self._heap
-        pop = _heappop
-        ready = self._ready
-        ready_popleft = ready.popleft
-        stop_at = _INFINITY if until is None else until
-        while True:
-            if ready:
-                if heap and heap[0] < ready[0]:
-                    event = pop(heap)
-                else:
-                    event = ready_popleft()
-            elif heap:
-                if heap[0][0] > stop_at:
-                    self._now = until  # type: ignore[assignment]
-                    return
-                event = pop(heap)
-            else:
-                break
-            when, _seq, callback, args = event
-            self._now = when
-            callback(*args)
-        if until is not None and until > self._now:
-            self._now = until
-
-    def _run_digested(self, until: Optional[float]) -> None:
         heap = self._heap
         pop = _heappop
         digest = self.digest
-        func_kinds_get = digest._func_kinds.get  # type: ignore[union-attr]
-        func_kinds = digest._func_kinds  # type: ignore[union-attr]
-        name_kinds_get = digest._name_kinds.get  # type: ignore[union-attr]
-        name_kinds = digest._name_kinds  # type: ignore[union-attr]
-        pending = digest._pending  # type: ignore[union-attr]
+        func_kinds_get = digest._func_kinds.get
+        func_kinds = digest._func_kinds
+        name_kinds_get = digest._name_kinds.get
+        name_kinds = digest._name_kinds
+        pending = digest._pending
         # ``pending`` is mutated via clear(), never rebound, so the
         # bound append stays valid across flushes.
         pending_append = pending.append
-        hash_update = digest._hash.update  # type: ignore[union-attr]
+        hash_update = digest._hash.update
         pack = _PACK_EVENT
         method_type = MethodType
         ready = self._ready
         ready_popleft = ready.popleft
         stop_at = _INFINITY if until is None else until
         events = 0
+        self._running = True
+        gc_paused = gc.isenabled()
+        if gc_paused:
+            gc.disable()
         try:
+            # Merge the heap with the zero-delay ready lane by head
+            # comparison (seq is globally unique, so comparisons never
+            # tie past the first two fields).  Ready events are due
+            # now, hence never past ``until``; only the heap head needs
+            # the stop check, made before popping.
             while True:
                 if ready:
                     if heap and heap[0] < ready[0]:
@@ -722,15 +635,17 @@ class Simulator:
                 elif heap:
                     if heap[0][0] > stop_at:
                         self._now = until  # type: ignore[assignment]
-                        return
+                        break
                     event = pop(heap)
                 else:
                     break
                 when, seq, callback, args = event
                 self._now = when
-                # Inlined TraceDigest.record_event — the per-event
-                # call overhead is measurable at campaign scale.  Keep
-                # in sync with the method.
+                # The digest of this event, inlined — the per-event
+                # call overhead is measurable at campaign scale.  Hashes
+                # exactly what ``digest.record(when, seq,
+                # _event_kind(callback))`` would, memoizing bound
+                # methods by their function object.
                 if type(callback) is method_type:
                     func = callback.__func__
                     kind_bytes = func_kinds_get(func)
@@ -753,61 +668,13 @@ class Simulator:
                     hash_update(b"".join(pending))
                     pending.clear()
                 callback(*args)
-            if until is not None and until > self._now:
-                self._now = until
         finally:
             # Counted locally in the loop; synced even when a callback
-            # raises or the run stops at ``until``.
-            digest.events += events  # type: ignore[union-attr]
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        from time import perf_counter_ns
-
-        heap = self._heap
-        pop = _heappop
-        digest = self.digest
-        record = digest.record_event if digest is not None else None
-        profile_event = self.profile.record  # type: ignore[union-attr]
-        kind_of = self._kind_name
-        ready = self._ready
-        ready_popleft = ready.popleft
-        stop_at = _INFINITY if until is None else until
-        while True:
-            if ready:
-                if heap and heap[0] < ready[0]:
-                    event = pop(heap)
-                else:
-                    event = ready_popleft()
-            elif heap:
-                if heap[0][0] > stop_at:
-                    self._now = until  # type: ignore[assignment]
-                    return
-                event = pop(heap)
-            else:
-                break
-            when, seq, callback, args = event
-            self._now = when
-            if record is not None:
-                record(when, seq, callback)
-            started = perf_counter_ns()
-            callback(*args)
-            profile_event(kind_of(callback), perf_counter_ns() - started)
+            # raises.
+            digest.events += events
+            self._running = False
+            if gc_paused:
+                gc.enable()
         if until is not None and until > self._now:
             self._now = until
-
-    def _kind_name(self, callback: Callable[..., None]) -> str:
-        """Memoized :func:`_event_kind` (profiler bookkeeping).
-
-        Bound methods — the overwhelming majority of callbacks — key
-        on their underlying function, a small stable set.  Everything
-        else derives its kind directly; memoizing per-call objects
-        (lambdas, bound builtins) would only grow the table.
-        """
-        if type(callback) is MethodType:
-            func = callback.__func__
-            kind = self._kind_names.get(func)
-            if kind is None:
-                kind = _event_kind(func)
-                self._kind_names[func] = kind
-            return kind
-        return _event_kind(callback)
+        return self._now

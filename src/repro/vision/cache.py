@@ -30,25 +30,19 @@ entry count and total payload bytes.  Counters are surfaced as
 
 Scoping: campaign workers are separate processes, so each worker owns
 an independent module-level default cache — cells never share hits
-across a process boundary, and per-cell stats are scoped with
-``CacheStats.delta`` snapshots inside the experiment runners.
+across a process boundary.  Callers scope stats to one piece of work
+with ``CacheStats.delta`` snapshots.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.metrics.summary import CacheStats
-
-#: Environment switch honoured by :func:`default_feature_cache`; the
-#: CLI flag ``--no-feature-cache`` sets it for worker processes.
-DISABLE_ENV = "REPRO_NO_FEATURE_CACHE"
-
 
 def array_digest(array: np.ndarray) -> str:
     """Content digest of an array: dtype + shape + raw bytes."""
@@ -207,16 +201,11 @@ class FeatureCache:
         )
 
 
-def cache_enabled_by_env() -> bool:
-    """Whether the environment allows the default cache."""
-    return os.environ.get(DISABLE_ENV, "") not in ("1", "true", "yes")
-
-
 _DEFAULT: Optional[FeatureCache] = None
 
 
 def default_feature_cache() -> FeatureCache:
-    """Per-process shared cache (honours ``REPRO_NO_FEATURE_CACHE``).
+    """Per-process shared cache.
 
     Campaign worker processes each build their own on first use, so
     cells sharing a worker share warm entries while cells on other
@@ -225,7 +214,7 @@ def default_feature_cache() -> FeatureCache:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = FeatureCache(enabled=cache_enabled_by_env())
+        _DEFAULT = FeatureCache()
     return _DEFAULT
 
 

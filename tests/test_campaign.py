@@ -32,6 +32,8 @@ def test_campaign_validation():
         tiny_campaign(duration_s=0.0)
     with pytest.raises(ValueError):
         tiny_campaign(seeds=())
+    with pytest.raises(ValueError, match="client counts"):
+        tiny_campaign(client_counts=(1, 0))
 
 
 def test_resolve_placement_variants():

@@ -239,13 +239,6 @@ def test_round_trip_returns_exactly_the_stored_summary(cache):
     assert report["entries"] == 1 and report["corrupt"] == 0
 
 
-def test_disabled_cache_never_reads_or_writes(tmp_path):
-    cache = CampaignCellCache(tmp_path / "cells", enabled=False)
-    assert cache.put(make_task(), {"fps": 1.0}) is None
-    assert cache.get(make_task()) is None
-    assert len(cache) == 0
-
-
 def test_put_rejects_non_dict_summaries(cache):
     with pytest.raises(TypeError):
         cache.put(make_task(), [1, 2, 3])

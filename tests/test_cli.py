@@ -123,6 +123,32 @@ def test_invalid_spec_exits_with_one_line():
         main(["run", "--flow", "--duration", "1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--workers", "-1"],
+    ["campaign", "--seeds", "a"],
+    ["campaign", "--placements", "1,2,3"],
+    ["campaign", "--clients", "0"],
+    ["figure", "fig2", "--duration", "-1"],
+    ["testbed", "--clients", "0"],
+    ["capacity", "--max-clients", "0"],
+    ["capacity", "--slo-fps", "-1"],
+    ["optimize", "--budget", "0"],
+    ["optimize", "--population", "0", "--budget", "4"],
+], ids=" ".join)
+def test_bad_input_exits_at_the_boundary(argv, capsys):
+    """Bad values stop in argparse (exit 2) or with a one-line
+    ``SystemExit`` message, before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    code = excinfo.value.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "error: argument" in err
+    else:
+        assert isinstance(code, str) and "\n" not in code
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("name", ["fig8", "fig12"])
 def test_ramp_figures_honor_seed(monkeypatch, name):
     seen = {}

@@ -187,27 +187,6 @@ def test_neutral_flow_config_matches_flow_none_bit_for_bit():
         [c.received for c in base.clients]
 
 
-def test_event_profiler_is_inert_on_a_real_cell():
-    """``profile=True`` must not perturb the trajectory of a full
-    experiment cell — same trace digest, same delivered frames — while
-    still reporting a per-event-kind breakdown."""
-    from repro.experiments.runner import ExperimentSpec, run
-    from repro.scatter.config import baseline_configs
-
-    placement = baseline_configs()["C1"]
-    base = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
-                              pipeline="scatterpp"))
-    profiled = run(ExperimentSpec(placement, clients=2, duration_s=2.0, seed=0,
-                                  profile=True, pipeline="scatterpp"))
-    assert base.event_profile is None
-    assert profiled.trace_digest == base.trace_digest
-    assert [c.received for c in profiled.clients] == \
-        [c.received for c in base.clients]
-    report = profiled.event_profile
-    assert report is not None and report["events"] > 0
-    assert "Process._resume" in report["kinds"]
-
-
 @pytest.fixture(scope="module")
 def flow_report():
     report = run_campaign(FLOW_CAMPAIGN)

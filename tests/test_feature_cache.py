@@ -3,8 +3,8 @@
 Covers the correctness-by-construction story (hits return exactly the
 inserted payload, frozen against mutation), the LRU bounds (entry
 count and byte budget, eviction order, recency refresh), counter
-accounting, environment gating, and — via fake campaign runners — the
-per-process isolation that sharded campaigns rely on.
+accounting, the process-default singleton, and — via fake campaign
+runners — the per-process isolation that sharded campaigns rely on.
 """
 
 import multiprocessing
@@ -23,7 +23,6 @@ from repro.experiments.parallel import (
     warm_pool,
 )
 from repro.vision.cache import (
-    DISABLE_ENV,
     FeatureCache,
     array_digest,
     config_fingerprint,
@@ -190,24 +189,13 @@ def test_validation():
 
 
 # ----------------------------------------------------------------------
-# Process-default cache + environment gating
+# Process-default cache
 # ----------------------------------------------------------------------
 def test_default_cache_is_a_per_process_singleton():
     reset_default_feature_cache()
     try:
         assert default_feature_cache() is default_feature_cache()
     finally:
-        reset_default_feature_cache()
-
-
-def test_env_variable_disables_default_cache(monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    reset_default_feature_cache()
-    try:
-        assert not default_feature_cache().enabled
-    finally:
-        # monkeypatch restores the environment; dropping the singleton
-        # makes the next consumer re-read it.
         reset_default_feature_cache()
 
 

@@ -10,8 +10,7 @@ with autoscaler genes — so a refactor of the harness that reorders a
 single scheduled event shows up as a changed digest.
 
 Each entry pins the kernel's trace digest plus a digest of the run's
-deterministic summary (the wall-clock fields are left out).  After an
-*intentional* behaviour change, regenerate with
+summary.  After an *intentional* behaviour change, regenerate with
 ``PYTHONPATH=src python tests/golden/regenerate_determinism.py``.
 """
 
@@ -36,9 +35,6 @@ RUNNER_GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
 
 #: Virtual seconds per pinned cell.
 DURATION_S = 2.0
-
-#: Summary fields that are wall-clock accounting, not behaviour.
-_WALL_CLOCK = ("feature_cache", "kernel_profile")
 
 
 def _placement(name):
@@ -130,9 +126,7 @@ def cell_digests(result):
 
     from repro.experiments.store import summarize_result
 
-    summary = {key: value
-               for key, value in summarize_result(result).items()
-               if key not in _WALL_CLOCK}
+    summary = summarize_result(result)
     if result.resilience is not None:
         summary["resilience"] = asdict(result.resilience)
     blob = json.dumps(summary, sort_keys=True, default=repr)

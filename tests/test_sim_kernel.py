@@ -350,14 +350,6 @@ def test_trace_digest_differs_when_trajectory_differs():
     assert run_once(1.0) != run_once(2.0)
 
 
-def test_trace_digest_can_be_disabled():
-    sim = Simulator(digest=False)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.fingerprint() is None
-    assert sim.digest is None
-
-
 # ----------------------------------------------------------------------
 # Property-based: random waitable-DAG programs
 # ----------------------------------------------------------------------
@@ -508,9 +500,10 @@ def test_buffered_digest_matches_reference_on_random_streams():
     assert buffered.events == reference.events == 5000
 
 
-def test_record_event_agrees_with_record_for_every_callback_shape():
-    """The memoized ``record_event`` and the string-keyed ``record``
-    digest identically across the callback zoo the kernel schedules."""
+def test_run_digest_agrees_with_record_for_every_callback_shape():
+    """The digest ``run`` folds in line agrees with a ``TraceDigest``
+    fed ``record(when, seq, _event_kind(callback))``, across the
+    callback zoo the kernel schedules."""
     class Carrier:
         def method(self):
             pass
@@ -521,16 +514,20 @@ def test_record_event_agrees_with_record_for_every_callback_shape():
     def plain():
         pass
 
+    sink = []
     callbacks = [Carrier().method, Carrier().method, Carrier(), plain,
-                 lambda: None, len, print, functools.partial(plain),
+                 lambda: None, len, sink.append, functools.partial(plain),
                  Carrier.method]
-    by_event = TraceDigest()
-    by_kind = TraceDigest()
-    for seq, callback in enumerate(callbacks * 7):
-        by_event.record_event(0.25 * seq, seq, callback)
-        by_kind.record(0.25 * seq, seq, _event_kind(callback))
-    assert by_event.hexdigest() == by_kind.hexdigest()
-    assert by_event.events == by_kind.events
+    args = {len: ("",), sink.append: (None,), Carrier.method: (Carrier(),)}
+    sim = Simulator()
+    expected = TraceDigest()
+    for seq, callback in enumerate(callbacks * 7, start=1):
+        when = 0.25 * seq
+        sim.schedule(when, callback, *args.get(callback, ()))
+        expected.record(when, seq, _event_kind(callback))
+    sim.run()
+    assert sim.fingerprint() == expected.hexdigest()
+    assert sim.digest.events == expected.events == len(callbacks) * 7
 
 
 # ----------------------------------------------------------------------
@@ -794,59 +791,6 @@ def test_run_until_now_is_allowed():
 
 
 # ----------------------------------------------------------------------
-# Event-kind profiler
-# ----------------------------------------------------------------------
-def _profiled_program(profile):
-    sim = Simulator(profile=profile)
-
-    def worker(idx):
-        for __ in range(5):
-            yield sim.timeout(0.5 + idx * 0.25)
-
-    for idx in range(4):
-        sim.spawn(worker(idx), name=f"worker-{idx}")
-    sim.run()
-    return sim
-
-
-def test_profiler_is_off_by_default():
-    sim = Simulator()
-    assert sim.profile is None
-
-
-def test_profiler_is_observationally_inert():
-    """profile=True reads clocks but schedules nothing: the trace
-    fingerprint is byte-identical with the profiler on and off."""
-    base = _profiled_program(False)
-    profiled = _profiled_program(True)
-    assert base.profile is None
-    assert profiled.profile is not None
-    assert profiled.fingerprint() == base.fingerprint()
-    assert profiled.profile.events == profiled.digest.events > 0
-
-
-def test_profiler_breaks_down_by_event_kind():
-    profiled = _profiled_program(True)
-    report = profiled.profile.as_dict()
-    kinds = report["kinds"]
-    assert "Timeout._expire" in kinds
-    assert "Process._resume" in kinds
-    assert report["events"] == sum(k["calls"] for k in kinds.values())
-    assert abs(sum(k["share"] for k in kinds.values()) - 1.0) < 1e-9
-    ranked = profiled.profile.top(2)
-    assert len(ranked) == 2
-    totals = [record.total_ms for record in ranked.values()]
-    assert totals == sorted(totals, reverse=True)
-
-
-def test_profiler_works_with_digest_disabled():
-    sim = Simulator(digest=False, profile=True)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.fingerprint() is None
-    assert sim.profile.events == 1
-
-# ----------------------------------------------------------------------
 # Timer-heap structure: spread, storms, cancellation, merge order.
 # Every scenario is mirrored against the reference kernel — the fast
 # kernel's lanes are free only because the (when, seq) stream they
@@ -1030,12 +974,10 @@ def _boom():
     raise RuntimeError("boom")
 
 
-@pytest.mark.parametrize("loop", [{}, {"profile": True}, {"digest": False}],
-                         ids=["digested", "profiled", "plain"])
 @pytest.mark.parametrize("exit_by", ["drain", "until", "raise"])
-def test_run_pauses_gc_inside_callbacks_and_restores_it(exit_by, loop):
+def test_run_pauses_gc_inside_callbacks_and_restores_it(exit_by):
     assert gc.isenabled()
-    sim = Simulator(**loop)
+    sim = Simulator()
     seen = []
     _gc_probe(sim, seen)
     if exit_by == "until":
@@ -1088,16 +1030,13 @@ def test_scatterpp_cell_fingerprint_independent_of_caller_gc_state():
 # ----------------------------------------------------------------------
 #: Runs one scAtteR++ cell with ``repro.sim.reference`` installed as
 #: ``repro.sim.kernel`` before the stack imports, so sockets, stores
-#: and sidecars bind the witness classes.  The runner's ``Simulator``
-#: is shimmed because the witness constructor has no ``profile``.
+#: and sidecars bind the witness classes — the runner included.
 _REFERENCE_CELL = r"""
 import json, sys
 import repro.sim.reference as reference
 sys.modules["repro.sim.kernel"] = reference
 from repro.scatter.config import baseline_configs
 import repro.experiments.runner as runner
-runner.Simulator = \
-    lambda digest=True, profile=False: reference.Simulator(digest=digest)
 result = runner.run(runner.ExperimentSpec(
     baseline_configs()["C1"], 2, 3.0, seed=0, pipeline="scatterpp"))
 sim = result.testbed.sim
